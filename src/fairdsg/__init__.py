@@ -19,8 +19,8 @@ from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
                     color_counts, density, imbalance, induced_subgraph, is_fair)
 from .spectral import (AdjacencyOperator, ConvergenceError, EigenPair,
                        FairnessVector, ProjectedOperator, SpectralProfile,
-                       apply_projected, dominant_eigenpair, fairness_vector,
-                       second_eigenvalue, spectral_profile)
+                       dominant_eigenpair, fairness_vector, second_eigenvalue,
+                       spectral_profile)
 from .sweep import (ALL_ORDERINGS, Ordering, SolutionRecord, SolveStatus,
                     SweepConfig, candidate_trace, general_sweep, paired_sweep,
                     run_algorithm)
@@ -38,9 +38,8 @@ __all__ = [
     "balance", "color_counts", "density", "imbalance", "induced_subgraph",
     "is_fair",
     "AdjacencyOperator", "ConvergenceError", "EigenPair", "FairnessVector",
-    "ProjectedOperator", "SpectralProfile", "apply_projected",
-    "dominant_eigenpair", "fairness_vector", "second_eigenvalue",
-    "spectral_profile",
+    "ProjectedOperator", "SpectralProfile", "dominant_eigenpair",
+    "fairness_vector", "second_eigenvalue", "spectral_profile",
     "ALL_ORDERINGS", "Ordering", "SolutionRecord", "SolveStatus", "SweepConfig",
     "candidate_trace", "general_sweep", "paired_sweep", "run_algorithm",
     "DensestResult", "FlowNetwork", "exact_densest_subgraph", "max_flow",

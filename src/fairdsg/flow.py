@@ -1,11 +1,13 @@
 """Exact densest subgraph via max-flow, plus the fair 2-approximation.
 
-The solver binary-searches a guess gamma on the half-density w(E_S)/|S| and
-certifies each guess with a max-flow computation on the standard network:
-source -> u with capacity d_u, u -> sink with capacity 2 gamma, and each
-undirected edge {u, v} as two directed arcs of capacity w(u, v). The min
-cut's source side (minus the source) is non-empty iff some S has
-half-density above gamma.
+The solver runs Dinkelbach's parametric iteration on Goldberg's network:
+source -> u with capacity d_u, u -> sink with capacity rho, and each
+undirected edge {u, v} as two directed arcs of capacity w(u, v). A cut with
+source side S (minus the source) costs 2 w(E) - |S| (rho(S) - rho), where
+rho(S) = 2 w(E_S)/|S| is the density, so the minimum cut maximizes
+|S| (rho(S) - rho). The network is built once; each round sets the sink
+capacities to the density of the current set, and the min cut's source
+side is strictly denser until the current set is optimal.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet, color_counts, density
+from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
+                    color_counts, density, is_fair)
 from .sweep import SolutionRecord, SolveStatus, make_record
 
 
@@ -37,18 +40,21 @@ class FlowNetwork:
         self._cap: list[float] = []
         self._head: list[list[int]] = [[] for _ in range(n_nodes)]
 
-    def add_arc(self, u: int, v: int, cap: float) -> None:
+    def add_arc(self, u: int, v: int, cap: float) -> int:
+        """Add arc u -> v and return its index; its capacity is ``_cap[index]``."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"arc ({u}, {v}) references an unknown node")
         if cap < 0:
             raise ValueError("capacities must be non-negative")
         # forward arc at even index, residual reverse arc right after it
-        self._head[u].append(len(self._to))
+        index = len(self._to)
+        self._head[u].append(index)
         self._to.append(v)
         self._cap.append(float(cap))
-        self._head[v].append(len(self._to))
+        self._head[v].append(index + 1)
         self._to.append(u)
         self._cap.append(0.0)
+        return index
 
     @property
     def num_arcs(self) -> int:
@@ -131,123 +137,96 @@ def max_flow(net: FlowNetwork) -> tuple[float, NodeSet]:
 
 @dataclass(frozen=True)
 class DensestResult:
+    """A maximum-density set, its density 2 w(E_S)/|S| recomputed on the
+    set, and the number of max-flow solves it took."""
+
     node_set: NodeSet
     density: float
-    flow_value: float
     iterations: int
 
 
-def _guess_network(g: LabeledGraph, gamma: float) -> FlowNetwork:
-    net = FlowNetwork(g.n + 2, source=g.n, sink=g.n + 1)
-    for u in range(g.n):
-        d = float(g.degrees[u])
-        if d > 0.0:
-            net.add_arc(net.source, u, d)
-            net.add_arc(u, net.sink, 2.0 * gamma)
-    for u, v, w in g.edges():
-        net.add_arc(u, v, w)
-        net.add_arc(v, u, w)
-    return net
+def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
+    """Largest subgraph of maximum density 2 w(E_S)/|S|, for any weights.
 
-
-def exact_densest_subgraph(g: LabeledGraph, precision: float | None = None) -> DensestResult:
-    """Subgraph of exactly maximum density 2 w(E_S)/|S|.
-
-    For unit weights the binary search stops below 1/(n(n-1)), the minimum
-    gap between distinct half-densities, which makes the answer exact. For
-    general weights the stopping width is ``precision``
-    (default 1e-9 * max(d_max, 1)) and the reported density is recomputed
-    on the winning set.
+    Dinkelbach's iteration from S = V: solve the min cut at rho = rho(S)
+    and move to its source side while that side is non-empty and strictly
+    denser. Densities are recomputed on the sets, so every accepted round
+    raises the density and the loop ends after finitely many solves; the
+    last cut certifies that no set beats rho(S). On a graph without edges
+    the result is the lowest-id node at density 0, with no solve.
     """
     if g.n < 1:
         raise ValueError("graph has no nodes")
     if g.num_edges == 0:
-        top = int(np.argmax(g.degrees)) if g.n else 0
-        return DensestResult(NodeSet([top]), 0.0, 0.0, 0)
-    if np.all(g.edge_w == 1.0):
-        width = 1.0 / (g.n * max(g.n - 1, 1))
-    else:
-        width = precision if precision is not None else 1e-9 * max(g.d_max, 1.0)
+        return DensestResult(NodeSet([0]), 0.0, 0)
+    net = FlowNetwork(g.n + 2, source=g.n, sink=g.n + 1)
+    sink_arcs = []
+    for u in range(g.n):
+        d = float(g.degrees[u])
+        if d > 0.0:
+            net.add_arc(net.source, u, d)
+            sink_arcs.append(net.add_arc(u, net.sink, 0.0))
+    for u, v, w in g.edges():
+        net.add_arc(u, v, w)
+        net.add_arc(v, u, w)
     best = NodeSet(range(g.n))
-    lo = g.total_weight / g.n  # half-density of the whole graph
-    hi = g.d_max / 2.0
-    flow_value = None
+    rho = density(g, best)
     iterations = 0
-    while hi - lo > width and iterations < 200:
+    while True:
+        for a in sink_arcs:
+            net._cap[a] = rho
+        _, side = max_flow(net)
         iterations += 1
-        gamma = (lo + hi) / 2.0
-        value, side = max_flow(_guess_network(g, gamma))
-        chosen = [int(i) for i in side if i < g.n]
-        if chosen:
-            best = NodeSet(chosen)
-            flow_value = value
-            lo = max(gamma, density(g, best) / 2.0)
-        else:
-            hi = gamma
-    if flow_value is None:
-        # no search step ran (lo == hi up front); one certifying solve
-        flow_value, _ = max_flow(_guess_network(g, lo))
-    return DensestResult(best, density(g, best), flow_value, iterations)
+        chosen = NodeSet(i for i in side if i < g.n)
+        if chosen.size == 0 or (denser := density(g, chosen)) <= rho:
+            return DensestResult(best, rho, iterations)
+        best, rho = chosen, denser
 
 
-def two_dfsg(g: LabeledGraph, c: Coloring) -> SolutionRecord:
-    """Exact densest subgraph padded to color balance (2-approximation).
+def _padding(g: LabeledGraph, c: Coloring, base: NodeSet) -> list[int]:
+    """Nodes that pad ``base`` toward color balance, in pick order.
 
-    The minority color inside the optimum is padded with outside nodes of
-    that color, preferring the node with most weight into the current set
-    (ties by ascending id). On fair graphs the result is fair with density
-    at least half the fair optimum; when the pool runs out first, the
-    partially padded set is returned with status Unfair.
+    Each pick is the outside node of the minority color with the most
+    weight into the current set (base plus earlier picks), ties by smallest
+    id. Padding stops at balance or when that color has no outside nodes.
+    """
+    red, blue = color_counts(base, c)
+    minority = RED if red < blue else BLUE
+    mask = base.mask(g.n)
+    # weight into the current set; -inf marks nodes that cannot be picked
+    gain = np.bincount(g.arc_src, weights=g.arc_w * mask[g.arc_dst], minlength=g.n)
+    gain[mask | (c.codes != minority)] = -np.inf
+    picks = []
+    for _ in range(min(abs(red - blue), int(np.isfinite(gain).sum()))):
+        pick = int(np.argmax(gain))  # first max == smallest id
+        gain[pick] = -np.inf
+        nb, wt = g.neighbors(pick)
+        gain[nb] += wt
+        picks.append(pick)
+    return picks
+
+
+def two_dfsg(g: LabeledGraph, c: Coloring, optimum: NodeSet) -> SolutionRecord:
+    """The exact densest subgraph ``optimum`` padded to color balance.
+
+    On fair graphs the result is fair with density at least half the fair
+    optimum (a 2-approximation); when the pool runs out first, the
+    partially padded set is returned with status Unfair. The record's
+    runtime covers the padding only.
     """
     t0 = time.perf_counter()
-    base = exact_densest_subgraph(g)
-    chosen = set(base.node_set)
-    red, blue = color_counts(base.node_set, c)
-    minority = RED if red < blue else BLUE
-    pool = [u for u in range(g.n) if u not in chosen and c.codes[u] == minority]
-    mask = base.node_set.mask(g.n)
-    while red != blue and pool:
-        gains = []
-        for u in pool:
-            nb, wt = g.neighbors(u)
-            gains.append(float(wt[mask[nb]].sum()) if nb.size else 0.0)
-        pick = pool.pop(int(np.argmax(gains)))  # first max == smallest id
-        chosen.add(pick)
-        mask[pick] = True
-        if minority == RED:
-            red += 1
-        else:
-            blue += 1
-    status = SolveStatus.FOUND if red == blue else SolveStatus.UNFAIR
-    return make_record("2dfsg", g, c, NodeSet(chosen), status,
-                       time.perf_counter() - t0)
+    s = NodeSet([*optimum, *_padding(g, c, optimum)])
+    status = SolveStatus.FOUND if is_fair(s, c) else SolveStatus.UNFAIR
+    return make_record("2dfsg", g, c, s, status, time.perf_counter() - t0)
 
 
-def two_dfsg_candidates(g: LabeledGraph, c: Coloring) -> list[tuple[int, float, float]]:
-    """(size, density, balance) along the padding trajectory, for Pareto plots."""
-    base = exact_densest_subgraph(g)
-    chosen = set(base.node_set)
-    red, blue = color_counts(base.node_set, c)
-    minority = RED if red < blue else BLUE
-    pool = [u for u in range(g.n) if u not in chosen and c.codes[u] == minority]
-    mask = base.node_set.mask(g.n)
-
-    def snapshot() -> tuple[int, float, float]:
-        bal = min(red / blue, blue / red) if red and blue else 0.0
-        return len(chosen), density(g, NodeSet(chosen)), bal
-
-    out = [snapshot()]
-    while red != blue and pool:
-        gains = []
-        for u in pool:
-            nb, wt = g.neighbors(u)
-            gains.append(float(wt[mask[nb]].sum()) if nb.size else 0.0)
-        pick = pool.pop(int(np.argmax(gains)))
-        chosen.add(pick)
-        mask[pick] = True
-        if minority == RED:
-            red += 1
-        else:
-            blue += 1
-        out.append(snapshot())
+def two_dfsg_candidates(g: LabeledGraph, c: Coloring,
+                        optimum: NodeSet) -> list[tuple[int, float, float]]:
+    """(size, density, balance) after each padding step of ``two_dfsg``,
+    starting from ``optimum`` itself, for Pareto plots."""
+    picks = _padding(g, c, optimum)
+    out = []
+    for k in range(len(picks) + 1):
+        s = NodeSet([*optimum, *picks[:k]])
+        out.append((s.size, density(g, s), balance(s, c)))
     return out

@@ -9,6 +9,7 @@ of input order.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -204,6 +205,8 @@ class LabeledGraph:
             u, v, w = int(u), int(v), float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) references a node id outside 0..{n - 1}")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
             if w < 0.0:
                 raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
             if u == v:

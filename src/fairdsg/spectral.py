@@ -112,12 +112,6 @@ class ProjectedOperator:
         return out
 
 
-def apply_projected(op: ProjectedOperator, x: np.ndarray,
-                    with_shift: bool = False) -> np.ndarray:
-    """Convenience alias for ``op.apply(x, with_shift)``."""
-    return op.apply(x, with_shift)
-
-
 class _ReflectedAdjacency:
     """-A with shift c = d_max; its dominant eigenpair is (-lambda_n, v_n)."""
 

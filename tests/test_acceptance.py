@@ -99,7 +99,7 @@ def test_criterion_3_two_dfsg_approximation():
         p = float(rng.uniform(0.3, 0.7))
         g = random_graph(rng, n, p)
         c = random_coloring(rng, n, balanced=True)
-        rec = two_dfsg(g, c)
+        rec = two_dfsg(g, c, exact_densest_subgraph(g).node_set)
         opt = brute_force_densest(g, c, OracleConstraint.fair())
         all_fair = all_fair and rec.status is SolveStatus.FOUND and rec.fair \
             and is_fair(rec.node_set, c)
@@ -360,7 +360,7 @@ def test_criterion_10_amazon_corpus_report():
             rec = run_algorithm(name, pair.graph, pair.coloring)
             nd = normalized_density(rec, optimum=optimum.density)
             entries.append((name, nd, rec.status is not SolveStatus.FOUND))
-        rec = two_dfsg(pair.graph, pair.coloring)
+        rec = two_dfsg(pair.graph, pair.coloring, optimum.node_set)
         nd = normalized_density(rec, optimum=optimum.density)
         entries.append(("2dfsg", nd, rec.status is not SolveStatus.FOUND))
     for row in summarize(entries):

@@ -115,6 +115,34 @@ def test_usage_and_data_errors(small_graph_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_rejects_nan_edge_weight(tmp_path, capsys):
+    path = tmp_path / "nan.el"
+    path.write_text("3 2 1\nRRB\n0 1 1.0\n1 2 nan\n", encoding="utf-8")
+    assert main(["run", "--input", str(path), "--algorithm", "fss",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "edge (1, 2) has non-finite weight nan" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_run_2dfsg_solves_the_optimum_once(small_graph_file, tmp_path,
+                                            monkeypatch):
+    import fairdsg.cli
+    import fairdsg.flow
+    calls = []
+    solve = fairdsg.flow.exact_densest_subgraph
+
+    def counted(g):
+        calls.append(g.n)
+        return solve(g)
+
+    monkeypatch.setattr(fairdsg.cli, "exact_densest_subgraph", counted)
+    monkeypatch.setattr(fairdsg.flow, "exact_densest_subgraph", counted)
+    assert main(["run", "--input", small_graph_file, "--algorithm", "2dfsg",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls == [6]
+
+
 def test_run_ss_on_all_red_graph_reports_no_feasible_prefix(tmp_path):
     g = LabeledGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     c = Coloring.from_labels("RRR")

@@ -5,7 +5,8 @@ import pytest
 
 from fairdsg.flow import (FlowNetwork, exact_densest_subgraph, max_flow,
                           two_dfsg, two_dfsg_candidates)
-from fairdsg.graph import Coloring, LabeledGraph, NodeSet, density, is_fair
+from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
+                           is_fair)
 from fairdsg.oracle import OracleConstraint, brute_force_densest
 from fairdsg.sweep import SolveStatus
 
@@ -89,6 +90,27 @@ def test_exact_densest_clique_with_pendant():
     assert res.density == 3.0
 
 
+def test_exact_densest_k4_is_certified_by_one_solve(k4):
+    # the whole graph is densest, so the first cut already finds nothing denser
+    res = exact_densest_subgraph(k4)
+    assert res.node_set.as_tuple() == (0, 1, 2, 3)
+    assert res.density == 3.0
+    assert res.iterations == 1
+
+
+def test_exact_densest_takes_two_improving_rounds():
+    # K6 (density 5) on a 30-cycle, plus 60 isolated nodes. At rho(V) the
+    # cut takes K6 and the cycle (density about 2.6); only at that density
+    # does the cycle drop out, and a third solve certifies K6.
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    ring = [(6 + i, 6 + (i + 1) % 30) for i in range(30)]
+    g = LabeledGraph.from_edges(96, k6 + ring + [(0, 6)])
+    res = exact_densest_subgraph(g)
+    assert res.node_set.as_tuple() == tuple(range(6))
+    assert res.density == 5.0
+    assert res.iterations == 3
+
+
 def test_exact_densest_path3(path3):
     res = exact_densest_subgraph(path3)
     # the whole path (density 4/3) beats any single edge (density 1)
@@ -123,7 +145,8 @@ def test_exact_densest_weighted_graph():
             continue
         res = exact_densest_subgraph(g)
         _, dens = brute_densest_subsets(dense_adjacency(g), lambda m: True)
-        assert res.density == pytest.approx(dens, rel=1e-7)
+        assert res.density == pytest.approx(dens, abs=1e-9)
+        assert res.density == pytest.approx(density(g, res.node_set), abs=1e-12)
 
 
 def test_exact_densest_dominates_random_subsets():
@@ -138,14 +161,15 @@ def test_exact_densest_dominates_random_subsets():
 
 
 def test_two_dfsg_fair_k4(k4, k4_rrbb):
-    rec = two_dfsg(k4, k4_rrbb)
+    rec = two_dfsg(k4, k4_rrbb, exact_densest_subgraph(k4).node_set)
     assert rec.status is SolveStatus.FOUND
     assert rec.node_set.as_tuple() == (0, 1, 2, 3)
     assert rec.density == 3.0 and rec.fair
 
 
 def test_two_dfsg_all_red_graph_is_unfair(triangle):
-    rec = two_dfsg(triangle, Coloring.from_labels("RRR"))
+    rec = two_dfsg(triangle, Coloring.from_labels("RRR"),
+                   exact_densest_subgraph(triangle).node_set)
     assert rec.status is SolveStatus.UNFAIR
     assert not rec.fair
 
@@ -156,20 +180,20 @@ def test_two_dfsg_approximation_and_fairness_on_fair_graphs():
         n = int(rng.choice([4, 6, 8, 10, 12]))
         g = random_graph(rng, n, float(rng.uniform(0.3, 0.7)))
         c = random_coloring(rng, n, balanced=True)
-        rec = two_dfsg(g, c)
+        base = exact_densest_subgraph(g)
+        rec = two_dfsg(g, c, base.node_set)
         assert rec.status is SolveStatus.FOUND
         assert rec.fair and is_fair(rec.node_set, c)
         opt = brute_force_densest(g, c, OracleConstraint.fair())
         assert rec.density >= 0.5 * opt.density - 1e-9
         # padded set is at most twice the unconstrained optimum
-        base = exact_densest_subgraph(g)
         assert rec.size <= 2 * base.node_set.size
 
 
 def test_two_dfsg_unfair_graph_returns_partial_padding():
     g = LabeledGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     c = Coloring.from_labels("RRRB")
-    rec = two_dfsg(g, c)
+    rec = two_dfsg(g, c, exact_densest_subgraph(g).node_set)
     # the dense triangle is all red; only one blue node exists to pad with
     assert rec.status is SolveStatus.UNFAIR
     assert 3 in rec.node_set
@@ -180,8 +204,8 @@ def test_two_dfsg_deterministic():
     rng = np.random.default_rng(83)
     g = random_graph(rng, 12, 0.4)
     c = random_coloring(rng, 12)
-    first = two_dfsg(g, c)
-    second = two_dfsg(g, c)
+    first = two_dfsg(g, c, exact_densest_subgraph(g).node_set)
+    second = two_dfsg(g, c, exact_densest_subgraph(g).node_set)
     assert first.node_set == second.node_set
     assert first.status == second.status
 
@@ -192,8 +216,9 @@ def test_two_dfsg_candidates_trajectory():
     # balance
     g = LabeledGraph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
     c = Coloring.from_labels("RRBBB")
-    trail = two_dfsg_candidates(g, c)
-    rec = two_dfsg(g, c)
+    optimum = exact_densest_subgraph(g).node_set
+    trail = two_dfsg_candidates(g, c, optimum)
+    rec = two_dfsg(g, c, optimum)
     assert rec.status is SolveStatus.FOUND
     assert rec.node_set.as_tuple() == (0, 1, 2, 3)
     assert trail[0][0] == 3
@@ -201,3 +226,36 @@ def test_two_dfsg_candidates_trajectory():
     assert trail[-1][1] == pytest.approx(rec.density)
     sizes = [size for size, _, _ in trail]
     assert sizes == sorted(sizes)
+
+
+def test_two_dfsg_gains_follow_earlier_picks():
+    # red K4 is the optimum; blue 5 and 8 have one edge into it, and the
+    # blue path 8-7-6 only becomes attractive as it is picked up
+    g = LabeledGraph.from_edges(9, [(u, v) for u in range(4) for v in range(u + 1, 4)]
+                                + [(0, 5), (1, 8), (8, 7), (7, 6)])
+    c = Coloring.from_labels("RRRRBBBBB")
+    optimum = exact_densest_subgraph(g).node_set
+    assert optimum.as_tuple() == (0, 1, 2, 3)
+    rec = two_dfsg(g, c, optimum)
+    assert rec.status is SolveStatus.FOUND
+    assert rec.node_set.as_tuple() == (0, 1, 2, 3, 5, 6, 7, 8)
+    trail = two_dfsg_candidates(g, c, optimum)
+    # picks 5, 8, 7, 6 each add one edge
+    assert [d for _, d, _ in trail] == pytest.approx(
+        [2.0 * e / s for e, s in [(6, 4), (7, 5), (8, 6), (9, 7), (10, 8)]])
+
+
+def test_two_dfsg_ends_its_candidate_trajectory():
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        n = int(rng.choice([6, 8, 10, 12, 16]))
+        g = random_graph(rng, n, float(rng.uniform(0.2, 0.6)))
+        c = random_coloring(rng, n, balanced=True)
+        optimum = exact_densest_subgraph(g).node_set
+        trail = two_dfsg_candidates(g, c, optimum)
+        rec = two_dfsg(g, c, optimum)
+        # one snapshot per padding step, the last one the 2dfsg set itself
+        assert trail[0] == (optimum.size, density(g, optimum),
+                            balance(optimum, c))
+        assert len(trail) == rec.size - optimum.size + 1
+        assert trail[-1] == (rec.size, rec.density, rec.balance)

@@ -127,6 +127,12 @@ def test_negative_weight_rejected():
         LabeledGraph.from_edges(2, [(0, 1, -1.0)])
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected(w):
+    with pytest.raises(ValueError, match="non-finite weight"):
+        LabeledGraph.from_edges(3, [(0, 1, w)])
+
+
 def test_edge_out_of_range_rejected():
     with pytest.raises(ValueError, match="outside"):
         LabeledGraph.from_edges(2, [(0, 2)])

@@ -5,9 +5,9 @@ import pytest
 
 from fairdsg.graph import Coloring, LabeledGraph, NodeSet
 from fairdsg.spectral import (AdjacencyOperator, ConvergenceError,
-                              ProjectedOperator, apply_projected,
-                              dominant_eigenpair, fairness_vector,
-                              second_eigenvalue, spectral_profile)
+                              ProjectedOperator, dominant_eigenpair,
+                              fairness_vector, second_eigenvalue,
+                              spectral_profile)
 
 from conftest import random_coloring, random_graph
 from oracles import dense_adjacency, dense_projected, jacobi_eigenvalues
@@ -67,7 +67,7 @@ def test_apply_projected_dimension_mismatch(k4, k4_rrbb):
     with pytest.raises(ValueError, match="does not match"):
         op.apply(np.ones(3))
     with pytest.raises(ValueError, match="does not match"):
-        apply_projected(op, np.ones(5))
+        op.apply(np.ones(5))
 
 
 def test_dominant_eigenpair_triangle(triangle):
