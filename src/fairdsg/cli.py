@@ -48,7 +48,7 @@ def _add_eig_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="eigensolver relative-residual tolerance")
     p.add_argument("--max-iters", type=int, default=100_000,
-                   help="eigensolver iteration cap")
+                   help="eigensolver matvec cap")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: $FAIRDSG_SEED or 0)")
 
@@ -305,6 +305,8 @@ def _planted_row(task) -> dict[str, str]:
 def _cmd_planted(args) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     base = _resolve_seed(args)
     policy = args.delta_policy
     if policy != "bound":
@@ -315,8 +317,9 @@ def _cmd_planted(args) -> int:
               args.algorithm, policy, args.tol, args.max_iters,
               args.require_hypotheses, args.save_instances)
              for i in range(args.seeds)]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))  # a pool starts every worker at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_planted_row, tasks))
     else:
         rows = [_planted_row(t) for t in tasks]

@@ -169,6 +169,7 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
 
     graph = LabeledGraph.from_edges(
         n, ((int(perm[u]), int(perm[v])) for u, v in edges))
+    del edges  # one Python tuple per edge; free it before the eigensolves
     coloring = Coloring(colors)
     planted_set = NodeSet(perm[:m])
 

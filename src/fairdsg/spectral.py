@@ -5,9 +5,8 @@ unit vector f with entries +1/sqrt(n) on red nodes and -1/sqrt(n) on blue
 ones: a set indicator x is balanced iff f.x = 0. Projecting the adjacency
 matrix onto the kernel of f gives B = (I - ff^T) A (I - ff^T), whose top
 eigenvector drives the fair sweep algorithms. All operators here act
-matrix-free; eigenpairs come from shifted power iteration (eigenvalues of
-both A and B lie in [-d_max, d_max], so adding d_max * I makes the algebraic
-top the magnitude top and the iteration converges to it).
+matrix-free, and every eigenpair comes from one restarted Lanczos routine
+(Golub and Van Loan, Matrix Computations, ch. 10).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .graph import Coloring, LabeledGraph
 
 
 class ConvergenceError(Exception):
-    """Power iteration did not reach the requested tolerance."""
+    """The eigensolver used up ``iterations`` matvecs; ``best_residual`` is relative."""
 
     def __init__(self, message: str, best_residual: float, iterations: int):
         super().__init__(message)
@@ -50,10 +49,10 @@ def fairness_vector(c: Coloring) -> FairnessVector:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Converged eigenpair of an operator (shift already removed).
+    """Converged eigenpair: unit ``vector`` with a positive first nonzero entry.
 
-    ``residual`` is the absolute ||op(v) - value * v||; convergence was
-    declared at residual <= tol * max(|value|, 1).
+    ``residual`` is the absolute ||op(v) - value * v|| of a fresh product,
+    at most tol * max(|value|, 1); ``iterations`` counts the solve's matvecs.
     """
 
     value: float
@@ -63,147 +62,146 @@ class EigenPair:
 
 
 class AdjacencyOperator:
-    """Action of the adjacency matrix A, with an optional diagonal shift."""
+    """Action of the adjacency matrix A."""
 
-    def __init__(self, graph: LabeledGraph, shift: float | None = None):
+    def __init__(self, graph: LabeledGraph):
         self.graph = graph
-        self.shift = graph.d_max if shift is None else float(shift)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def apply(self, x: np.ndarray, with_shift: bool = False) -> np.ndarray:
-        y = self.graph.matvec(x)
-        if with_shift:
-            y = y + self.shift * np.asarray(x, dtype=np.float64)
-        return y
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.graph.matvec(x)
 
 
 class ProjectedOperator:
     """B = (I - ff^T) A (I - ff^T) applied without materializing any matrix.
 
-    The action is y = x - (f.x) f; z = A y; out = z - (f.z) f, plus c*x when
-    the shift is requested.
+    The action is y = x - (f.x) f; z = A y; out = z - (f.z) f.
     """
 
-    def __init__(self, graph: LabeledGraph, fairness: FairnessVector,
-                 shift: float | None = None):
+    def __init__(self, graph: LabeledGraph, fairness: FairnessVector):
         if fairness.n != graph.n:
             raise ValueError("fairness vector length does not match the graph")
         self.graph = graph
         self.fairness = fairness
-        self.shift = graph.d_max if shift is None else float(shift)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def apply(self, x: np.ndarray, with_shift: bool = False) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"vector of length {x.size} does not match n={self.n}")
         f = self.fairness.entries
         y = x - (f @ x) * f
         z = self.graph.matvec(y)
-        out = z - (f @ z) * f
-        if with_shift:
-            out = out + self.shift * x
-        return out
-
-
-class _ReflectedAdjacency:
-    """-A with shift c = d_max; its dominant eigenpair is (-lambda_n, v_n)."""
-
-    def __init__(self, graph: LabeledGraph):
-        self.graph = graph
-        self.shift = graph.d_max
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def apply(self, x: np.ndarray, with_shift: bool = False) -> np.ndarray:
-        y = -self.graph.matvec(x)
-        if with_shift:
-            y = y + self.shift * np.asarray(x, dtype=np.float64)
-        return y
+        return z - (f @ z) * f
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip so the first entry of magnitude above 1e-12 is positive."""
-    for x in v:
-        if abs(x) > 1e-12:
-            return -v if x < 0 else v
-    return v
+    visible = np.flatnonzero(np.abs(v) > 1e-12)
+    return -v if visible.size and v[visible[0]] < 0 else v
 
 
-def _power_iteration(op, tol: float, max_iters: int, seed: int,
-                     deflate: np.ndarray | None) -> EigenPair:
+# Lanczos steps between explicit restarts from the Ritz vector
+_RESTART = 30
+
+
+def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None = None,
+             bottom: bool = False) -> tuple[EigenPair, EigenPair]:
+    """Top and bottom algebraic eigenpairs (both the top one unless ``bottom``).
+
+    Lanczos with full reorthogonalization, restarted after ``_RESTART`` steps
+    or a Krylov breakdown from the Ritz vector (with ``bottom``, the sum of
+    both ends' Ritz vectors). A pair is accepted only on a fresh product,
+    ||op(v) - theta v|| <= tol * max(|theta|, 1). The unit vector ``lock`` is
+    removed from the start and every product; ``max_iters`` caps the matvecs.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     n = op.n
     if n == 0:
         raise ValueError("operator over an empty graph has no eigenpairs")
-    if deflate is not None and n == 1:
+    if lock is not None and n == 1:
         raise ValueError("a 1-node operator has no second eigenpair")
-    # the deflated solve draws from its own stream so its start never
-    # coincides with a vector the first solve already returned
-    rng = np.random.default_rng([seed, 0 if deflate is None else 1])
-    v = rng.standard_normal(n)
-    if deflate is not None:
-        for _ in range(8):
-            v = v - (deflate @ v) * deflate
-            if float(np.linalg.norm(v)) > 1e-8 * math.sqrt(n):
+    # the locked solve draws from its own stream so its start never
+    # coincides with a vector the unlocked solve already returned
+    v = np.random.default_rng([seed, 0 if lock is None else 1]).standard_normal(n)
+    lock = np.zeros(n) if lock is None else lock
+    matvecs, best = 0, math.inf
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        if matvecs == max_iters:
+            raise ConvergenceError(
+                f"Lanczos did not converge in {max_iters} matvecs "
+                f"(best relative residual {best:.3e})", best, max_iters)
+        matvecs += 1
+        y = op.apply(x)
+        return y - (lock @ y) * lock
+
+    ritz = [v - (lock @ v) * lock]
+    k = min(_RESTART, n)
+    basis, t = np.empty((k, n)), np.zeros((k + 1, k + 1))
+    while True:
+        pairs = []
+        for x in ritz:
+            x = x / np.linalg.norm(x)
+            ax = apply(x)
+            theta = float(x @ ax) + 0.0  # no -0.0 in reports
+            pairs.append((theta, x, ax, float(np.linalg.norm(ax - theta * x))))
+        worst = max(r / max(abs(th), 1.0) for th, _, _, r in pairs)
+        best = min(best, worst)
+        if worst <= tol:
+            return tuple(EigenPair(value=th, vector=_canonical_sign(x), residual=r,
+                                   iterations=matvecs)
+                         for th, x, _, r in (pairs[0], pairs[-1]))
+        # restart from the normalized sum of the Ritz vectors, product known
+        v = sum(x for _, x, _, _ in pairs)
+        scale = np.linalg.norm(v)
+        basis[0], w = v / scale, sum(ax for _, _, ax, _ in pairs) / scale
+        for j in range(k):
+            if j:
+                w = apply(basis[j])
+            t[j, j] = basis[j] @ w
+            for _ in range(2):  # twice is enough (Kahan-Parlett)
+                w = w - basis[:j + 1].T @ (basis[:j + 1] @ w)
+            t[j, j + 1] = t[j + 1, j] = b = np.linalg.norm(w)
+            thetas, ys = np.linalg.eigh(t[:j + 1, :j + 1])
+            picks = (j, 0) if bottom and j else (j,)
+            if b <= 1e-12 * np.abs(thetas).max() or j + 1 == k or all(
+                    b * abs(ys[j, i]) <= tol * max(abs(thetas[i]), 1.0)
+                    for i in picks):
                 break
-            v = rng.standard_normal(n)
-    nv = float(np.linalg.norm(v))
-    if nv == 0.0:
-        raise ValueError("degenerate start vector; use a different seed")
-    v = v / nv
-    best = math.inf
-    for k in range(1, max_iters + 1):
-        y = op.apply(v, with_shift=True)
-        if deflate is not None:
-            y = y - (deflate @ y) * deflate
-        mu = float(v @ y)
-        lam = mu - op.shift
-        resid = float(np.linalg.norm(y - mu * v))
-        rel = resid / max(abs(lam), 1.0)
-        best = min(best, rel)
-        if rel <= tol:
-            return EigenPair(value=lam, vector=_canonical_sign(v),
-                             residual=resid, iterations=k)
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            # v lies in an exact kernel of the shifted operator
-            return EigenPair(value=-op.shift, vector=_canonical_sign(v),
-                             residual=0.0, iterations=k)
-        v = y / ny
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iters} iterations "
-        f"(best relative residual {best:.3e})", best, max_iters)
+            basis[j + 1] = w / b
+        ritz = [ys[:, i] @ basis[:j + 1] for i in picks]
 
 
 def dominant_eigenpair(op, tol: float = 1e-8, max_iters: int = 100_000,
                        seed: int = 0) -> EigenPair:
-    """Largest-algebraic eigenpair of the (unshifted) operator.
+    """Largest-algebraic eigenpair of ``op``, by Lanczos.
 
-    ``op`` is any operator exposing ``n``, ``shift`` and
-    ``apply(x, with_shift)`` — in particular :class:`AdjacencyOperator` and
-    :class:`ProjectedOperator`. The returned vector has unit norm and its
-    first nonzero entry is positive.
+    ``op`` is any symmetric operator exposing ``n`` and ``apply(x)`` — in
+    particular :class:`AdjacencyOperator` and :class:`ProjectedOperator`.
     """
-    return _power_iteration(op, tol, max_iters, seed, deflate=None)
+    return _lanczos(op, tol, max_iters, seed)[0]
 
 
 def second_eigenvalue(op, first: EigenPair, tol: float = 1e-8,
                       max_iters: int = 100_000, seed: int = 0) -> EigenPair:
-    """Second-largest algebraic eigenpair via deflation against ``first``.
+    """Second-largest algebraic eigenpair: a Lanczos solve with
+    ``first.vector`` locked out of the start and of every Lanczos vector.
 
-    Every iterate is re-orthogonalized against ``first.vector``.
+    It is a solve of its own because one Krylov space holds one copy of a
+    repeated eigenvalue, so the first solve would miss lambda1 = lambda2.
     """
-    return _power_iteration(op, tol, max_iters, seed, deflate=first.vector)
+    return _lanczos(op, tol, max_iters, seed, lock=first.vector)[0]
 
 
 @dataclass(frozen=True)
@@ -218,15 +216,13 @@ class SpectralProfile:
 
 def spectral_profile(g: LabeledGraph, tol: float = 1e-8,
                      max_iters: int = 100_000, seed: int = 0) -> SpectralProfile:
-    """lambda_1, lambda_2 (power iteration + deflation) and lambda_n
-    (power iteration on d_max*I - A), plus lam = max(lambda2, |lambda_n|)."""
+    """lambda_1 and lambda_n of A from one Lanczos solve, lambda_2 from
+    :func:`second_eigenvalue`, and lam = max(lambda2, |lambda_n|)."""
     if g.n < 2:
         raise ValueError("spectral profile needs at least two nodes")
-    top = AdjacencyOperator(g)
-    first = dominant_eigenpair(top, tol, max_iters, seed)
-    second = second_eigenvalue(top, first, tol, max_iters, seed)
-    bottom = dominant_eigenpair(_ReflectedAdjacency(g), tol, max_iters, seed)
-    lambda_n = -bottom.value + 0.0  # avoid -0.0 in reports
+    op = AdjacencyOperator(g)
+    first, last = _lanczos(op, tol, max_iters, seed, bottom=True)
+    second = second_eigenvalue(op, first, tol, max_iters, seed)
     return SpectralProfile(lambda1=first.value, lambda2=second.value,
-                           lambda_n=lambda_n,
-                           lam=max(second.value, abs(lambda_n)))
+                           lambda_n=last.value,
+                           lam=max(second.value, abs(last.value)))

@@ -2,7 +2,7 @@
 
 These deliberately avoid the library's computational paths: dense matrices
 instead of CSR matvecs, a classical Jacobi rotation eigensolver instead of
-power iteration, subset/cut enumeration instead of flow, and a from-scratch
+Lanczos, subset/cut enumeration instead of flow, and a from-scratch
 prefix re-scan instead of the incremental sweep.
 """
 

@@ -211,6 +211,44 @@ def test_planted_command_and_jobs_equivalence(tmp_path):
     assert rows_parallel == rows
 
 
+def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    base = ["planted", "--n", "40", "--m", "8", "--d", "7", "--seed", "3"]
+    assert main(base + ["--seeds", "3", "--jobs", "64",
+                        "--out", str(tmp_path / "a.csv")]) == 0
+    assert pools == [3]
+    assert main(base + ["--seeds", "1", "--jobs", "64",
+                        "--out", str(tmp_path / "b.csv")]) == 0
+    assert pools == [3]  # one instance runs without a pool
+    capsys.readouterr()
+    for jobs in ("0", "-2"):
+        assert main(base + ["--jobs", jobs, "--out", str(tmp_path / "c.csv")]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_run_rejects_nonpositive_max_iters(small_graph_file, tmp_path, capsys):
+    assert main(["run", "--input", small_graph_file, "--algorithm", "fss",
+                 "--max-iters", "0", "--out", str(tmp_path / "o.csv")]) == 2
+    assert "max_iters must be at least 1" in capsys.readouterr().err
+
+
 def test_planted_save_instances(tmp_path):
     out = tmp_path / "p.csv"
     inst_dir = tmp_path / "instances"

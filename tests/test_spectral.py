@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairdsg.graph import Coloring, LabeledGraph, NodeSet
+from fairdsg.planted import PlantedParams, generate
 from fairdsg.spectral import (AdjacencyOperator, ConvergenceError,
                               ProjectedOperator, dominant_eigenpair,
                               fairness_vector, second_eigenvalue,
@@ -163,13 +164,39 @@ def test_projected_top_never_exceeds_adjacency_top():
         assert hat1 <= lam1 + 1e-8
 
 
-def test_shift_invariance_of_eigenvector():
+def test_seed_invariance_of_eigenvector():
     rng = np.random.default_rng(17)
     g = random_graph(rng, 12, 0.5)
     a = dominant_eigenpair(AdjacencyOperator(g), seed=4)
-    b = dominant_eigenpair(AdjacencyOperator(g, shift=2.5 * g.d_max + 1.0), seed=5)
+    b = dominant_eigenpair(AdjacencyOperator(g), seed=5)
     assert abs(a.vector @ b.vector) >= 1.0 - 1e-8
     assert a.value == pytest.approx(b.value, abs=1e-7)
+
+
+def test_tied_top_eigenvalue_on_two_disjoint_k4s():
+    # one Krylov space holds one copy of the repeated eigenvalue 3; the
+    # locked second solve must find the other
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    g = LabeledGraph.from_edges(8, edges + [(u + 4, v + 4) for u, v in edges])
+    top = dominant_eigenpair(AdjacencyOperator(g))
+    assert top.value == pytest.approx(3.0, abs=1e-7)
+    assert second_eigenvalue(AdjacencyOperator(g), top).value == \
+        pytest.approx(3.0, abs=1e-7)
+    prof = spectral_profile(g)
+    assert prof.lambda1 == pytest.approx(3.0, abs=1e-7)
+    assert prof.lambda2 == pytest.approx(3.0, abs=1e-7)
+    assert prof.lambda_n == pytest.approx(-1.0, abs=1e-7)
+
+
+def test_spectral_profile_on_planted_instance_with_close_gaps():
+    # close gaps at both ends: 0.21 below lambda_2, 0.007 above lambda_n
+    inst = generate(PlantedParams(n=2000, m=200, d=64, eps=0.05, p_bg=0.001,
+                                  seed=4000))
+    want = np.linalg.eigvalsh(dense_adjacency(inst.graph))
+    meas = inst.measured
+    assert meas.lambda1 == pytest.approx(want[-1], abs=1e-6)
+    assert meas.lambda2 == pytest.approx(want[-2], abs=1e-6)
+    assert meas.lambda_n == pytest.approx(want[0], abs=1e-6)
 
 
 def test_operator_symmetry_probe():
