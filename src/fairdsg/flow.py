@@ -1,13 +1,24 @@
 """Exact densest subgraph via max-flow, plus the fair 2-approximation.
 
-The solver runs Dinkelbach's parametric iteration on Goldberg's network:
-source -> u with capacity d_u, u -> sink with capacity rho, and each
-undirected edge {u, v} as two directed arcs of capacity w(u, v). A cut with
-source side S (minus the source) costs 2 w(E) - |S| (rho(S) - rho), where
-rho(S) = 2 w(E_S)/|S| is the density, so the minimum cut maximizes
-|S| (rho(S) - rho). The network is built once; each round sets the sink
-capacities to the density of the current set, and the min cut's source
-side is strictly denser until the current set is optimal.
+The solver first shrinks the graph to a core that holds every
+maximum-density set (Fang et al., "Efficient Algorithms for Densest
+Subgraph Discovery", PVLDB 2019). In a densest set S, of density
+rho* = 2 w(E_S)/|S|, every member v has w(v, S) >= rho*/2, or dropping v
+would leave a denser set. So for any lower bound L <= rho*, peeling the
+nodes of weighted degree below L/2 until none is left keeps every densest
+set, the largest one included. L starts as the best density seen by a batch
+peel (Bahmani, Kumar & Vassilvitskii, PVLDB 2012) and is raised to the
+core's own density while that is higher. The drop test carries a relative
+slack, so float rounding never removes a node of degree exactly rho*/2.
+
+On the core it runs Dinkelbach's parametric iteration on Goldberg's
+network: source -> u with capacity d_u, u -> sink with capacity rho, and
+each undirected edge {u, v} as two directed arcs of capacity w(u, v). A cut
+with source side S (minus the source) costs 2 w(E) - |S| (rho(S) - rho),
+so the minimum cut maximizes |S| (rho(S) - rho). The network is built
+once; each round sets the sink capacities to the density of the current
+set, and the min cut's source side is strictly denser until the current set
+is optimal.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
-                    color_counts, density, is_fair)
+                    color_counts, density, induced_subgraph, is_fair)
 from .sweep import SolutionRecord, SolveStatus, make_record
 
 
@@ -145,41 +156,118 @@ class DensestResult:
     iterations: int
 
 
+# The batch peel drops every node of degree at most (1 + _PEEL_EPS) times the
+# average degree per pass, so it ends after O(log n / _PEEL_EPS) passes. Any
+# positive value gives a valid lower bound; it changes the speed only.
+_PEEL_EPS = 0.1
+
+# The core peel drops a node only when its degree into the core, summed
+# afresh, is below (1 - _DROP_SLACK) L/2. A fresh sum of k non-negative
+# terms is off by a relative k * 2^-53 at most, and so is L; for k below
+# 10^7 that is far below this slack, so float rounding never drops a node of
+# degree exactly rho*/2.
+_DROP_SLACK = 1e-9
+
+
+def _peel_lower_bound(g: LabeledGraph) -> float:
+    """Best density among the sets a batch peel passes through; <= rho*."""
+    alive = np.ones(g.n, dtype=bool)
+    src, dst, w = g.arc_src, g.arc_dst, g.arc_w
+    best = 0.0
+    while src.size:
+        deg = np.bincount(src, weights=w, minlength=g.n)
+        rho = float(deg.sum()) / np.count_nonzero(alive)
+        best = max(best, rho)
+        alive &= deg > (1.0 + _PEEL_EPS) * rho
+        keep = alive[src] & alive[dst]
+        src, dst, w = src[keep], dst[keep], w[keep]
+    return best
+
+
+def _densest_core(g: LabeledGraph) -> tuple[np.ndarray, LabeledGraph]:
+    """Sorted ids of a core holding every maximum-density set, and the
+    subgraph they induce, relabelled in id order.
+
+    Peels to the L/2-core with a stack, L from ``_peel_lower_bound``, then
+    again with L = rho(core) while the core is denser than L. Each round
+    starts from the core's degrees as fresh sums; a node leaves once, its
+    neighbours' degrees are decremented, and a decremented degree is summed
+    afresh before its node is dropped, so rounding in the running sums never
+    drops one.
+    """
+    indptr = g.indptr.tolist()
+    dst = g.arc_dst.tolist()
+    wt = g.arc_w.tolist()
+    lower = _peel_lower_bound(g)
+    kept, core = np.arange(g.n), g
+    while True:
+        limit = 0.5 * lower * (1.0 - _DROP_SLACK)
+        stack = kept[core.degrees < limit].tolist()
+        alive = np.zeros(g.n, dtype=bool)
+        alive[kept] = core.degrees >= limit
+        deg = np.zeros(g.n)
+        deg[kept] = core.degrees
+        alive, deg = alive.tolist(), deg.tolist()
+        while stack:
+            v = stack.pop()
+            for a in range(indptr[v], indptr[v + 1]):
+                u = dst[a]
+                if alive[u]:
+                    deg[u] -= wt[a]
+                    if deg[u] < limit:
+                        deg[u] = sum(wt[b] for b in range(indptr[u], indptr[u + 1])
+                                     if alive[dst[b]])
+                        if deg[u] < limit:
+                            alive[u] = False
+                            stack.append(u)
+        kept = np.flatnonzero(alive)
+        core = induced_subgraph(g, NodeSet(kept))
+        rho = 2.0 * core.total_weight / core.n
+        if rho <= lower:
+            return kept, core
+        lower = rho
+
+
 def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
     """Largest subgraph of maximum density 2 w(E_S)/|S|, for any weights.
 
-    Dinkelbach's iteration from S = V: solve the min cut at rho = rho(S)
-    and move to its source side while that side is non-empty and strictly
-    denser. Densities are recomputed on the sets, so every accepted round
-    raises the density and the loop ends after finitely many solves; the
-    last cut certifies that no set beats rho(S). On a graph without edges
-    the result is the lowest-id node at density 0, with no solve.
+    The graph is first peeled to a core that holds every densest set (see
+    the module docstring). Then Dinkelbach's iteration runs on the core from
+    S = core: solve the min cut at rho = rho(S) and move to its source side
+    while that side is non-empty and strictly denser. Densities are
+    recomputed on the sets, so every accepted round raises the density and
+    the loop ends after finitely many solves; the last cut certifies that no
+    set of the core, and so none of the graph, beats rho(S). When the core
+    itself is densest, one solve certifies it. ``iterations`` counts the
+    solves. On a graph without edges the result is the lowest-id node at
+    density 0, with no solve.
     """
     if g.n < 1:
         raise ValueError("graph has no nodes")
     if g.num_edges == 0:
         return DensestResult(NodeSet([0]), 0.0, 0)
-    net = FlowNetwork(g.n + 2, source=g.n, sink=g.n + 1)
+    kept, core = _densest_core(g)
+    net = FlowNetwork(core.n + 2, source=core.n, sink=core.n + 1)
     sink_arcs = []
-    for u in range(g.n):
-        d = float(g.degrees[u])
+    for u in range(core.n):
+        d = float(core.degrees[u])
         if d > 0.0:
             net.add_arc(net.source, u, d)
             sink_arcs.append(net.add_arc(u, net.sink, 0.0))
-    for u, v, w in g.edges():
+    for u, v, w in core.edges():
         net.add_arc(u, v, w)
         net.add_arc(v, u, w)
-    best = NodeSet(range(g.n))
-    rho = density(g, best)
+    best = NodeSet(range(core.n))
+    rho = density(core, best)
     iterations = 0
     while True:
         for a in sink_arcs:
             net._cap[a] = rho
         _, side = max_flow(net)
         iterations += 1
-        chosen = NodeSet(i for i in side if i < g.n)
-        if chosen.size == 0 or (denser := density(g, chosen)) <= rho:
-            return DensestResult(best, rho, iterations)
+        chosen = NodeSet(i for i in side if i < core.n)
+        if chosen.size == 0 or (denser := density(core, chosen)) <= rho:
+            return DensestResult(NodeSet(kept[best.members]), rho, iterations)
         best, rho = chosen, denser
 
 

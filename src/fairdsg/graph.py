@@ -311,14 +311,13 @@ def induced_subgraph(g: LabeledGraph, s: NodeSet) -> LabeledGraph:
     The original ids survive through ``node_names`` (existing names are
     propagated, otherwise the stringified original id is used).
     """
-    s._check_range(g.n)
-    new_id = np.full(g.n, -1, dtype=np.int64)
-    new_id[s.members] = np.arange(s.size)
     mask = s.mask(g.n)
+    new_id = np.cumsum(mask) - 1
     inside = mask[g.edge_u] & mask[g.edge_v]
-    edges = zip(new_id[g.edge_u[inside]], new_id[g.edge_v[inside]], g.edge_w[inside])
     if g.node_names is not None:
         names = [g.node_names[i] for i in s.members]
     else:
         names = [str(int(i)) for i in s.members]
-    return LabeledGraph.from_edges(s.size, edges, node_names=names)
+    # relabelling in member order keeps the edge list canonical and sorted
+    return LabeledGraph(s.size, new_id[g.edge_u[inside]], new_id[g.edge_v[inside]],
+                        g.edge_w[inside], names, 0, 0)

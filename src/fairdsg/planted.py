@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
-from .spectral import (AdjacencyOperator, ProjectedOperator, SpectralProfile,
-                       dominant_eigenpair, fairness_vector, spectral_profile)
-from .sweep import SolutionRecord, general_sweep
+from .spectral import SpectralProfile, spectral_profile
+from .sweep import SolutionRecord, SweepConfig, general_sweep, sweep_eigenvector
 
 
 @dataclass(frozen=True)
@@ -234,19 +233,16 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
     else:
         delta = float(delta_policy)
     seed = instance.params.seed if seed is None else seed
-    if algorithm == "fss":
-        op = ProjectedOperator(g, fairness_vector(c))
-    else:
-        op = AdjacencyOperator(g)
-    top = dominant_eigenpair(op, tol=eig_tol, max_iters=eig_max_iters, seed=seed)
-    solution = general_sweep(g, c, top.vector, delta, algorithm=algorithm)
+    vector = sweep_eigenvector(algorithm, g, c, SweepConfig(
+        tol=eig_tol, max_iters=eig_max_iters, seed=seed))
+    solution = general_sweep(g, c, vector, delta, algorithm=algorithm)
 
     m = instance.planted_set.size
     err = recovery_error(instance.planted_set, solution.node_set)
     error_bound = 16.0 * (meas.eps_measured + meas.theta) * m
     chi = instance.planted_set.indicator(g.n)
-    align = float(chi @ top.vector)
-    vec = -top.vector if align < 0 else top.vector
+    align = float(chi @ vector)
+    vec = -vector if align < 0 else vector
     chi_dist_sq = float(np.sum((chi - vec) ** 2))
     chi_bound = 4.0 * (meas.eps_measured + meas.theta)
     # 1e-9 of slack absorbs eigensolver rounding when the bound is exactly 0

@@ -241,8 +241,11 @@ def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
     return make_record(algorithm, g, c, NodeSet(members), SolveStatus.FOUND, elapsed)
 
 
-def _sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
-                       cfg: SweepConfig) -> np.ndarray:
+def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
+                      cfg: SweepConfig) -> np.ndarray:
+    """Top eigenvector a sweep algorithm rounds: of the projected operator
+    for fss and fps, of the raw adjacency for ss and ps, unless
+    ``cfg.matrix`` names one."""
     matrix = cfg.matrix
     if matrix == "auto":
         matrix = "projected" if name in ("fss", "fps") else "raw"
@@ -268,7 +271,7 @@ def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
     t0 = time.perf_counter()
-    v = _sweep_eigenvector(name, g, c, cfg)
+    v = sweep_eigenvector(name, g, c, cfg)
     if name in ("ss", "fss"):
         record = general_sweep(g, c, v, cfg.delta if delta is None else delta,
                                algorithm=name)
@@ -290,7 +293,7 @@ def candidate_trace(name: str, g: LabeledGraph, c: Coloring,
     name = name.lower()
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
-    v = _sweep_eigenvector(name, g, c, cfg)
+    v = sweep_eigenvector(name, g, c, cfg)
     out = []
     if name in ("ss", "fss"):
         _, candidates = _scan_prefixes(g, c, v, ALL_ORDERINGS)

@@ -88,6 +88,25 @@ def brute_densest_subsets(a: np.ndarray, feasible) -> tuple[tuple[int, ...], flo
     return best if best is not None else ((), 0.0)
 
 
+def brute_largest_densest(a: np.ndarray,
+                          tol: float = 1e-9) -> tuple[tuple[int, ...], float]:
+    """Union of all maximum-density subsets, and the maximum density.
+
+    Exhaustive over all non-empty subsets; a subset within ``tol`` of the
+    maximum counts as one of maximum density.
+    """
+    n = a.shape[0]
+    densities = {members: subset_density(a, members)
+                 for size in range(1, n + 1)
+                 for members in itertools.combinations(range(n), size)}
+    best = max(densities.values())
+    union = set()
+    for members, dens in densities.items():
+        if dens >= best - tol:
+            union.update(members)
+    return tuple(sorted(union)), best
+
+
 def brute_min_cut(n: int, source: int, sink: int,
                   arcs: list[tuple[int, int, float]]) -> float:
     """Minimum s-t cut value by enumerating all 2^(n-2) node partitions."""

@@ -11,7 +11,8 @@ from fairdsg.oracle import OracleConstraint, brute_force_densest
 from fairdsg.sweep import SolveStatus
 
 from conftest import random_coloring, random_graph
-from oracles import brute_densest_subsets, brute_min_cut, dense_adjacency
+from oracles import (brute_densest_subsets, brute_largest_densest, brute_min_cut,
+                     dense_adjacency)
 
 
 def test_max_flow_single_arc():
@@ -99,16 +100,46 @@ def test_exact_densest_k4_is_certified_by_one_solve(k4):
 
 
 def test_exact_densest_takes_two_improving_rounds():
-    # K6 (density 5) on a 30-cycle, plus 60 isolated nodes. At rho(V) the
-    # cut takes K6 and the cycle (density about 2.6); only at that density
-    # does the cycle drop out, and a third solve certifies K6.
+    # K6 (density 5) on a 30-cycle, plus 60 isolated nodes. The batch peel
+    # passes through K6, so L = 5; the cycle's nodes have degree 2 < 5/2
+    # (node 6 has 3 until its cycle neighbours go), so the core is K6 and
+    # one solve certifies it.
     k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
     ring = [(6 + i, 6 + (i + 1) % 30) for i in range(30)]
     g = LabeledGraph.from_edges(96, k6 + ring + [(0, 6)])
     res = exact_densest_subgraph(g)
     assert res.node_set.as_tuple() == tuple(range(6))
     assert res.density == 5.0
+    assert res.iterations == 1
+
+
+def test_exact_densest_improves_on_a_core_that_keeps_every_node():
+    # K6 (density 5), K5 and a 3-cube, chained by two bridges. Every degree
+    # is at least 3 > 5/2, so no node can be peeled. At rho(V) = 78/19 the
+    # cut takes K6 and K5 (density 52/11); at 52/11 it takes K6; a third
+    # solve certifies K6.
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    k5 = [(6 + u, 6 + v) for u in range(5) for v in range(u + 1, 5)]
+    cube = [(11 + u, 11 + (u ^ bit)) for u in range(8) for bit in (1, 2, 4)
+            if u < u ^ bit]
+    g = LabeledGraph.from_edges(19, k6 + k5 + cube + [(5, 6), (10, 11)])
+    res = exact_densest_subgraph(g)
+    assert g.degrees.min() >= res.density / 2.0
+    assert res.node_set.as_tuple() == tuple(range(6))
+    assert res.density == 5.0
     assert res.iterations == 3
+
+
+def test_exact_densest_peels_a_long_tail():
+    # K5 (density 4) at the end of a 30,000-node path: the peel eats the path
+    # from its free end, one node after another, and leaves K5
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    tail = [(4 + i, 5 + i) for i in range(30_000)]
+    g = LabeledGraph.from_edges(30_005, k5 + tail)
+    res = exact_densest_subgraph(g)
+    assert res.node_set.as_tuple() == (0, 1, 2, 3, 4)
+    assert res.density == 4.0
+    assert res.iterations == 1
 
 
 def test_exact_densest_path3(path3):
@@ -147,6 +178,40 @@ def test_exact_densest_weighted_graph():
         _, dens = brute_densest_subsets(dense_adjacency(g), lambda m: True)
         assert res.density == pytest.approx(dens, abs=1e-9)
         assert res.density == pytest.approx(density(g, res.node_set), abs=1e-12)
+
+
+def test_exact_densest_is_the_union_of_all_densest_sets():
+    rng = np.random.default_rng(113)
+    for trial in range(30):
+        n = int(rng.integers(4, 13))
+        g = random_graph(rng, n, float(rng.uniform(0.2, 0.7)),
+                         weighted=bool(trial % 2))
+        if g.num_edges == 0:
+            continue
+        res = exact_densest_subgraph(g)
+        members, dens = brute_largest_densest(dense_adjacency(g))
+        assert res.node_set.as_tuple() == members
+        assert res.density == pytest.approx(dens, abs=1e-9)
+
+
+def test_exact_densest_keeps_nodes_of_degree_half_the_optimum():
+    # each tie node has two edges into K5 (density 4): adding it keeps the
+    # density at 4, so it belongs to the largest densest set
+    rng = np.random.default_rng(127)
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    for ties in range(1, 6):
+        edges = list(k5)
+        for t in range(ties):
+            a, b = rng.choice(5, size=2, replace=False)
+            edges += [(5 + t, int(a)), (5 + t, int(b))]
+        # a pendant node outside the optimum
+        edges.append((5 + ties, 0))
+        g = LabeledGraph.from_edges(6 + ties, edges)
+        res = exact_densest_subgraph(g)
+        assert res.node_set.as_tuple() == tuple(range(5 + ties))
+        assert res.density == 4.0
+        assert (res.node_set.as_tuple(), res.density) == \
+            brute_largest_densest(dense_adjacency(g))
 
 
 def test_exact_densest_dominates_random_subsets():

@@ -83,6 +83,25 @@ def test_density_matches_induced_subgraph():
         assert 0.0 <= density(g, s) <= g.d_max + 1e-12
 
 
+def test_induced_subgraph_matches_a_build_from_its_edges():
+    # reference: keep the edges with both ends in s, relabel them by rank
+    # in s, and canonicalize them through from_edges
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)), weighted=True)
+        s = NodeSet(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        rank = {int(u): i for i, u in enumerate(s)}
+        edges = [(rank[u], rank[v], w) for u, v, w in g.edges()
+                 if u in rank and v in rank]
+        sub = induced_subgraph(g, s)
+        ref = LabeledGraph.from_edges(s.size, edges)
+        assert sub.same_structure(ref)
+        assert np.array_equal(sub.arc_src, ref.arc_src)
+        assert np.array_equal(sub.degrees, ref.degrees)
+        assert sub.n_self_loops_dropped == 0 and sub.n_duplicates_merged == 0
+
+
 def test_construction_canonical_under_permutation():
     rng = np.random.default_rng(3)
     edges = [(0, 1, 2.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 1.5)]
