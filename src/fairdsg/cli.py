@@ -311,6 +311,9 @@ def _cmd_planted(args) -> int:
     policy = args.delta_policy
     if policy != "bound":
         policy = float(policy)
+        if not policy >= 0:
+            raise ValueError(f"--delta-policy must be 'bound' or a non-negative "
+                             f"number, got {args.delta_policy!r}")
     if args.save_instances is not None:
         os.makedirs(args.save_instances, exist_ok=True)
     tasks = [(base + i, args.n, args.m, args.d, args.eps, args.p_bg,
@@ -334,15 +337,18 @@ def _cmd_planted(args) -> int:
 
 def _cmd_pareto(args) -> int:
     seed = _resolve_seed(args)
-    g, c = load_edgelist(args.input)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     valid = SPECTRAL_ALGORITHMS + ("2dfsg",)
-    optimum = exact_densest_subgraph(g).node_set if "2dfsg" in algorithms else None
-    rows = []
+    if not algorithms:
+        raise ValueError("--algorithms names no algorithm")
     for name in algorithms:
         if name not in valid:
             raise ValueError(f"unknown pareto algorithm {name!r}; "
                              f"choose from {', '.join(valid)}")
+    g, c = load_edgelist(args.input)
+    optimum = exact_densest_subgraph(g).node_set if "2dfsg" in algorithms else None
+    rows = []
+    for name in algorithms:
         if name == "2dfsg":
             trace = two_dfsg_candidates(g, c, optimum)
         else:

@@ -14,7 +14,6 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .flow import exact_densest_subgraph
 from .graph import LabeledGraph
 from .sweep import SolutionRecord, SolveStatus
 
@@ -62,16 +61,8 @@ def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
     return front
 
 
-def normalized_density(record: SolutionRecord, g: LabeledGraph | None = None,
-                       *, optimum: float | None = None) -> float:
-    """record density / unconstrained optimum; 0 for failed runs.
-
-    Pass ``optimum`` to reuse an already-computed unconstrained density.
-    """
-    if optimum is None:
-        if g is None:
-            raise ValueError("need either the graph or a precomputed optimum")
-        optimum = exact_densest_subgraph(g).density
+def normalized_density(record: SolutionRecord, optimum: float) -> float:
+    """record density / unconstrained optimum density; 0 for failed runs."""
     if optimum <= 0.0:
         raise ValueError("zero unconstrained optimum; normalization undefined")
     if record.status is not SolveStatus.FOUND:

@@ -121,8 +121,8 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     ||op(v) - theta v|| <= tol * max(|theta|, 1). The unit vector ``lock`` is
     removed from the start and every product; ``max_iters`` caps the matvecs.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     n = op.n

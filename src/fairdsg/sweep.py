@@ -1,11 +1,21 @@
 """Sweep rounding of eigenvectors into dense, (near-)fair node sets.
 
-The general sweep scans prefixes of the nodes sorted by eigenvector entry
-(four orderings: non-increasing, non-decreasing, and both orderings of the
-absolute values) and keeps the densest prefix whose red/blue imbalance stays
-within delta * |S|. The paired sweep sorts each color class separately and
-evaluates the union of equal-size color prefixes, so its output is balanced
-by construction.
+Both sweeps sort the nodes by eigenvector entry in four orderings
+(non-increasing, non-decreasing, and both orderings of the absolute values)
+and examine nested prefixes. A sweep is described per ordering by the step at
+which each node joins the prefix:
+
+    general sweep  the node's position in the ordering; prefix s holds
+                   s + 1 nodes
+    paired sweep   the node's rank within its own color class; prefix s
+                   holds the top s + 1 red and top s + 1 blue nodes, and
+                   nodes ranked past min(n_red, n_blue) never join
+
+An edge joins at the later of its endpoints' steps, so the prefix weights of
+one ordering are a ``bincount`` of the edges' join steps and a ``cumsum``;
+red counts come the same way. The general sweep keeps the densest prefix
+whose red/blue imbalance stays within delta * |S|; the paired sweep's
+prefixes are balanced by construction.
 
 Four named algorithms combine a sweep with an eigenvector source:
 
@@ -24,8 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import (RED, Coloring, LabeledGraph, NodeSet, balance, color_counts,
-                    density, imbalance)
+from .graph import RED, Coloring, LabeledGraph, NodeSet, balance, color_counts, density
 from .spectral import (AdjacencyOperator, ProjectedOperator, dominant_eigenpair,
                        fairness_vector)
 
@@ -89,23 +98,17 @@ def make_record(algorithm: str, g: LabeledGraph, c: Coloring, s: NodeSet,
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Eigenvector source and sweep parameters for the named algorithms.
+    """Eigensolver settings, and ``delta``, the imbalance slack of the
+    general sweep."""
 
-    ``matrix`` is "auto" (chosen by algorithm name), "raw" (adjacency) or
-    "projected". ``delta`` is the imbalance slack of the general sweep.
-    """
-
-    matrix: str = "auto"
     delta: float = 0.0
     tol: float = 1e-8
     max_iters: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:
             raise ValueError("delta must be non-negative")
-        if self.matrix not in ("auto", "raw", "projected"):
-            raise ValueError(f"unknown matrix kind {self.matrix!r}")
 
 
 def ordering_permutation(v: np.ndarray, ordering: Ordering) -> np.ndarray:
@@ -122,36 +125,58 @@ def ordering_permutation(v: np.ndarray, ordering: Ordering) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _scan_prefixes(g: LabeledGraph, c: Coloring, v: np.ndarray,
-                   orderings: Sequence[Ordering]):
-    """Incremental prefix scan shared by the sweep and its trace.
+def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
+          orderings: Sequence[Ordering], paired: bool):
+    """Every prefix of every ordering, shared by the sweeps and their trace.
 
-    Returns (perms, candidates) where candidates are tuples
-    (ordering_index, size, density, n_red, n_blue); density is maintained
-    incrementally (adding node i contributes 2 w(i, prefix)/|S|).
+    Returns (steps, size, dens, red). ``steps[o, i]`` is the step at which
+    node i joins ordering o's prefix; a node whose step is past the last
+    never joins. ``size[s]`` is the size of prefix s, the nodes with
+    step <= s, and ``dens[o, s]`` and ``red[o, s]`` are its density and red
+    count.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"eigenvector of length {v.size} does not match n={g.n}")
-    perms = []
-    candidates = []
-    codes = c.codes
+    is_red = c.codes == RED
+    n_steps = min(c.n_red, c.n_blue) if paired else g.n
+    size = np.arange(1, n_steps + 1) * (2 if paired else 1)
+    steps = np.empty((len(orderings), g.n), dtype=np.int64)
+    w = np.empty((len(orderings), n_steps))
+    red = np.empty((len(orderings), n_steps), dtype=np.int64)
     for oi, ordering in enumerate(orderings):
         perm = ordering_permutation(v, ordering)
-        perms.append(perm)
-        included = np.zeros(g.n, dtype=bool)
-        w_in = 0.0
-        red = 0
-        for s0, node in enumerate(perm):
-            nb, wt = g.neighbors(int(node))
-            if nb.size:
-                w_in += float(wt[included[nb]].sum())
-            included[node] = True
-            if codes[node] == RED:
-                red += 1
-            size = s0 + 1
-            candidates.append((oi, size, 2.0 * w_in / size, red, size - red))
-    return perms, candidates
+        if paired:
+            in_red = is_red[perm]
+            steps[oi, perm] = np.where(in_red, np.cumsum(in_red), np.cumsum(~in_red)) - 1
+        else:
+            steps[oi, perm] = np.arange(g.n)
+        step = steps[oi]
+        join = np.maximum(step[g.edge_u], step[g.edge_v])
+        w[oi] = np.bincount(join, weights=g.edge_w, minlength=n_steps)[:n_steps].cumsum()
+        red[oi] = np.bincount(step[is_red], minlength=n_steps)[:n_steps].cumsum()
+    return steps, size, 2.0 * w / size, red
+
+
+def _best(key: np.ndarray) -> tuple[int, int] | None:
+    """(ordering, step) of the largest key; ties go to the smaller prefix,
+    then the earlier ordering. None when every key is -inf."""
+    if not key.size:
+        return None
+    # argmax returns the first maximum of the step-major flattening
+    step, oi = divmod(int(np.argmax(key.T)), key.shape[0])
+    return None if key[oi, step] == -np.inf else (oi, step)
+
+
+def _record(algorithm: str, g: LabeledGraph, c: Coloring, steps: np.ndarray,
+            best: tuple[int, int] | None, t0: float) -> SolutionRecord:
+    elapsed = time.perf_counter() - t0
+    if best is None:
+        return make_record(algorithm, g, c, NodeSet(), SolveStatus.NO_FEASIBLE_PREFIX,
+                           elapsed)
+    oi, step = best
+    return make_record(algorithm, g, c, NodeSet(np.flatnonzero(steps[oi] <= step)),
+                       SolveStatus.FOUND, elapsed)
 
 
 def general_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray, delta: float,
@@ -162,57 +187,12 @@ def general_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray, delta: float,
     Ties prefer higher density, then smaller size, then the earlier ordering.
     When no prefix qualifies the record carries status NoFeasiblePrefix.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be non-negative")
     t0 = time.perf_counter()
-    perms, candidates = _scan_prefixes(g, c, v, orderings)
-    best_key = None
-    best = None
-    for oi, size, dens, red, blue in candidates:
-        if abs(red - blue) <= delta * size:
-            key = (dens, -size, -oi)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (oi, size)
-    elapsed = time.perf_counter() - t0
-    if best is None:
-        return make_record(algorithm, g, c, NodeSet(), SolveStatus.NO_FEASIBLE_PREFIX,
-                           elapsed)
-    oi, size = best
-    return make_record(algorithm, g, c, NodeSet(perms[oi][:size]),
-                       SolveStatus.FOUND, elapsed)
-
-
-def _scan_pairs(g: LabeledGraph, c: Coloring, v: np.ndarray,
-                orderings: Sequence[Ordering]):
-    """Equal-size color-prefix scan shared by the paired sweep and its trace.
-
-    Returns (prefix_pairs, candidates); candidates are
-    (ordering_index, s, density) for the union of the top-s red and top-s
-    blue nodes.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (g.n,):
-        raise ValueError(f"eigenvector of length {v.size} does not match n={g.n}")
-    red_ids = np.flatnonzero(c.codes == RED)
-    blue_ids = np.flatnonzero(c.codes != RED)
-    k = min(red_ids.size, blue_ids.size)
-    prefix_pairs = []
-    candidates = []
-    for oi, ordering in enumerate(orderings):
-        red_perm = red_ids[ordering_permutation(v[red_ids], ordering)]
-        blue_perm = blue_ids[ordering_permutation(v[blue_ids], ordering)]
-        prefix_pairs.append((red_perm, blue_perm))
-        included = np.zeros(g.n, dtype=bool)
-        w_in = 0.0
-        for s in range(1, k + 1):
-            for node in (int(red_perm[s - 1]), int(blue_perm[s - 1])):
-                nb, wt = g.neighbors(node)
-                if nb.size:
-                    w_in += float(wt[included[nb]].sum())
-                included[node] = True
-            candidates.append((oi, s, 2.0 * w_in / (2 * s)))
-    return prefix_pairs, candidates
+    steps, size, dens, red = _scan(g, c, v, orderings, paired=False)
+    feasible = np.abs(2 * red - size) <= delta * size
+    return _record(algorithm, g, c, steps, _best(np.where(feasible, dens, -np.inf)), t0)
 
 
 def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
@@ -220,36 +200,19 @@ def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
                  algorithm: str = "paired") -> SolutionRecord:
     """Densest union of equal-size color prefixes; fair by construction.
 
+    Ties prefer higher density, then smaller size, then the earlier ordering.
     Status is NoFeasiblePrefix only when one color class is empty.
     """
     t0 = time.perf_counter()
-    prefix_pairs, candidates = _scan_pairs(g, c, v, orderings)
-    best_key = None
-    best = None
-    for oi, s, dens in candidates:
-        key = (dens, -2 * s, -oi)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (oi, s)
-    elapsed = time.perf_counter() - t0
-    if best is None:
-        return make_record(algorithm, g, c, NodeSet(), SolveStatus.NO_FEASIBLE_PREFIX,
-                           elapsed)
-    oi, s = best
-    red_perm, blue_perm = prefix_pairs[oi]
-    members = np.concatenate([red_perm[:s], blue_perm[:s]])
-    return make_record(algorithm, g, c, NodeSet(members), SolveStatus.FOUND, elapsed)
+    steps, _, dens, _ = _scan(g, c, v, orderings, paired=True)
+    return _record(algorithm, g, c, steps, _best(dens), t0)
 
 
 def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
                       cfg: SweepConfig) -> np.ndarray:
     """Top eigenvector a sweep algorithm rounds: of the projected operator
-    for fss and fps, of the raw adjacency for ss and ps, unless
-    ``cfg.matrix`` names one."""
-    matrix = cfg.matrix
-    if matrix == "auto":
-        matrix = "projected" if name in ("fss", "fps") else "raw"
-    if matrix == "projected":
+    for fss and fps, of the raw adjacency for ss and ps."""
+    if name in ("fss", "fps"):
         op = ProjectedOperator(g, fairness_vector(c))
     else:
         op = AdjacencyOperator(g)
@@ -258,13 +221,12 @@ def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
 
 
 def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
-                  cfg: SweepConfig | None = None,
-                  delta: float | None = None) -> SolutionRecord:
+                  cfg: SweepConfig | None = None) -> SolutionRecord:
     """Run one of ss / fss / ps / fps.
 
-    ``delta`` overrides the config slack for the general-sweep variants
-    (the recovery guarantee uses delta = 16 (eps + theta); the experimental
-    defaults use delta = 0). ps and fps ignore delta.
+    ss and fss sweep with the slack ``cfg.delta`` (the recovery guarantee
+    uses delta = 16 (eps + theta); the experimental defaults use delta = 0).
+    ps and fps ignore delta.
     """
     cfg = cfg or SweepConfig()
     name = name.lower()
@@ -273,8 +235,7 @@ def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
     t0 = time.perf_counter()
     v = sweep_eigenvector(name, g, c, cfg)
     if name in ("ss", "fss"):
-        record = general_sweep(g, c, v, cfg.delta if delta is None else delta,
-                               algorithm=name)
+        record = general_sweep(g, c, v, cfg.delta, algorithm=name)
     else:
         record = paired_sweep(g, c, v, algorithm=name)
     return replace(record, runtime_s=time.perf_counter() - t0)
@@ -294,14 +255,9 @@ def candidate_trace(name: str, g: LabeledGraph, c: Coloring,
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
     v = sweep_eigenvector(name, g, c, cfg)
-    out = []
-    if name in ("ss", "fss"):
-        _, candidates = _scan_prefixes(g, c, v, ALL_ORDERINGS)
-        for _, size, dens, red, blue in candidates:
-            bal = min(red / blue, blue / red) if red and blue else 0.0
-            out.append((size, dens, bal))
-    else:
-        _, candidates = _scan_pairs(g, c, v, ALL_ORDERINGS)
-        for _, s, dens in candidates:
-            out.append((2 * s, dens, 1.0))
-    return out
+    _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, paired=name in ("ps", "fps"))
+    size = np.broadcast_to(size, dens.shape)
+    blue = size - red
+    # every prefix is non-empty, so the larger class count is at least 1
+    bal = np.minimum(red, blue) / np.maximum(red, blue)
+    return list(zip(size.ravel().tolist(), dens.ravel().tolist(), bal.ravel().tolist()))

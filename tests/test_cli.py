@@ -125,6 +125,23 @@ def test_run_rejects_nan_edge_weight(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_run_rejects_nan_or_negative_delta(small_graph_file, tmp_path, capsys):
+    for algorithm in ("ss", "fss"):
+        for delta in ("nan", "-1"):
+            assert main(["run", "--input", small_graph_file, "--algorithm", algorithm,
+                         "--delta", delta, "--out", str(tmp_path / "o.csv")]) == 2
+            assert "delta must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_run_rejects_nan_or_infinite_tol(small_graph_file, tmp_path, capsys):
+    for tol in ("nan", "inf"):
+        assert main(["run", "--input", small_graph_file, "--algorithm", "fps",
+                     "--tol", tol, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_run_2dfsg_solves_the_optimum_once(small_graph_file, tmp_path,
                                             monkeypatch):
     import fairdsg.cli
@@ -249,6 +266,22 @@ def test_run_rejects_nonpositive_max_iters(small_graph_file, tmp_path, capsys):
     assert "max_iters must be at least 1" in capsys.readouterr().err
 
 
+def test_planted_rejects_bad_delta_policy(tmp_path, monkeypatch, capsys):
+    import fairdsg.cli
+
+    def no_generate(*args, **kwargs):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(fairdsg.cli, "generate", no_generate)
+    for policy, message in (("nan", "--delta-policy must be 'bound' or a non-negative"),
+                            ("-0.5", "--delta-policy must be 'bound' or a non-negative"),
+                            ("loose", "could not convert string to float")):
+        assert main(["planted", "--n", "40", "--m", "8", "--d", "7",
+                     "--delta-policy", policy, "--out", str(tmp_path / "p.csv")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_planted_save_instances(tmp_path):
     out = tmp_path / "p.csv"
     inst_dir = tmp_path / "instances"
@@ -278,6 +311,24 @@ def test_pareto_command(small_graph_file, tmp_path):
         assert densities == sorted(densities, reverse=True)
     assert main(["pareto", "--input", small_graph_file, "--algorithms", "zz",
                  "--out", str(out)]) == 2
+
+
+def test_pareto_validates_algorithms_before_any_solve(small_graph_file, tmp_path,
+                                                     monkeypatch, capsys):
+    import fairdsg.cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating --algorithms")
+
+    monkeypatch.setattr(fairdsg.cli, "exact_densest_subgraph", no_solve)
+    monkeypatch.setattr(fairdsg.cli, "candidate_trace", no_solve)
+    for algorithms, message in (("2dfsg,bogus", "unknown pareto algorithm 'bogus'"),
+                                ("fss,2dfsg,zz", "unknown pareto algorithm 'zz'"),
+                                (" , ", "--algorithms names no algorithm")):
+        assert main(["pareto", "--input", small_graph_file, "--algorithms", algorithms,
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_summary_command(small_graph_file, tmp_path, capsys):

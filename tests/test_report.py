@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdsg.flow import exact_densest_subgraph
 from fairdsg.graph import LabeledGraph, NodeSet
 from fairdsg.report import (RESULT_FIELDS, ParetoPoint, RunManifest,
                             format_float, normalized_density, pareto_front,
@@ -85,16 +86,15 @@ def test_pareto_properties(raw):
 
 def test_normalized_density(k4, k4_rrbb):
     rec = run_algorithm("fps", k4, k4_rrbb)
-    assert normalized_density(rec, k4) == pytest.approx(1.0)
+    optimum = exact_densest_subgraph(k4).density
+    assert normalized_density(rec, optimum=optimum) == pytest.approx(1.0)
     assert normalized_density(rec, optimum=6.0) == pytest.approx(0.5)
     empty = make_record("fss", k4, k4_rrbb, NodeSet(),
                         SolveStatus.NO_FEASIBLE_PREFIX, 0.0)
-    assert normalized_density(empty, k4) == 0.0
+    assert normalized_density(empty, optimum=optimum) == 0.0
     edgeless = LabeledGraph.from_edges(2, [])
     with pytest.raises(ValueError, match="zero unconstrained optimum"):
-        normalized_density(rec, edgeless)
-    with pytest.raises(ValueError, match="either the graph"):
-        normalized_density(rec)
+        normalized_density(rec, optimum=exact_densest_subgraph(edgeless).density)
 
 
 def test_summarize_percentages_and_quartiles():

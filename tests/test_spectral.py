@@ -234,6 +234,20 @@ def test_nonconvergence_raises_with_best_residual(k22):
     assert err.value.iterations == 3
 
 
+def test_nan_or_infinite_tol_rejected_before_any_matvec(k22):
+    products = []
+
+    class Counted(AdjacencyOperator):
+        def apply(self, x):
+            products.append(1)
+            return super().apply(x)
+
+    for tol in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            dominant_eigenpair(Counted(k22), tol=tol)
+    assert products == []
+
+
 def test_empty_graph_operator_rejected():
     g = LabeledGraph.from_edges(0, [])
     with pytest.raises(ValueError):

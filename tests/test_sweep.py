@@ -48,14 +48,33 @@ def test_general_sweep_all_red_triangle_infeasible(triangle):
     assert rec.density == 0.0
 
 
+def _edgeless(labels):
+    """Edgeless graph with an all-zero vector: every prefix has density 0,
+    so only the tie-break decides."""
+    n = len(labels)
+    return LabeledGraph.from_edges(n, []), Coloring.from_labels(labels), np.zeros(n)
+
+
+def _two_edges():
+    """Two disjoint edges: density 1 is first reached at size 4 in the first
+    ordering but at size 2 in the third, so size outranks ordering."""
+    g = LabeledGraph.from_edges(4, [(0, 1), (2, 3)])
+    return g, Coloring.from_labels("RBRB"), np.array([0.5, -0.6, 0.1, 0.2])
+
+
 def test_general_sweep_matches_rescan_oracle():
     rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(2, 11))
-        g = random_graph(rng, n, 0.5)
-        c = random_coloring(rng, n, balanced=(n % 2 == 0))
-        v = _eigvec(g, c, projected=True)
-        delta = float(rng.choice([0.0, 0.25, 1.0]))
+    cases = []
+    for weighted in (False, True):  # integer weights keep both sides exact
+        for _ in range(40):
+            n = int(rng.integers(2, 11))
+            g = random_graph(rng, n, 0.5, weighted=weighted)
+            c = random_coloring(rng, n, balanced=(n % 2 == 0))
+            v = _eigvec(g, c, projected=True)
+            cases.append((g, c, v, float(rng.choice([0.0, 0.25, 1.0]))))
+    cases += [(*_edgeless("RBRB"), 0.0), (*_edgeless("RRBRB"), 0.0),
+              (*_two_edges(), 0.0)]
+    for g, c, v, delta in cases:
         rec = general_sweep(g, c, v, delta)
         expected = sweep_rescan(g, c.codes, v, delta)
         if expected is None:
@@ -64,6 +83,10 @@ def test_general_sweep_matches_rescan_oracle():
             assert rec.status is SolveStatus.FOUND
             assert rec.node_set.as_tuple() == expected[0]
             assert rec.density == pytest.approx(expected[1], abs=1e-12)
+    assert general_sweep(*_edgeless("RBRB"), 0.0).node_set.as_tuple() == (0, 1)
+    assert general_sweep(*_two_edges(), 0.0).node_set.as_tuple() == (0, 1)
+    assert (general_sweep(*_edgeless("RRBRB"), 0.0).status
+            is SolveStatus.NO_FEASIBLE_PREFIX)
 
 
 def test_paired_sweep_k4(k4, k4_rrbb):
@@ -82,11 +105,15 @@ def test_paired_sweep_without_blue_nodes():
 
 def test_paired_sweep_matches_rescan_oracle():
     rng = np.random.default_rng(37)
-    for _ in range(40):
-        n = int(rng.integers(2, 13))
-        g = random_graph(rng, n, 0.5)
-        c = random_coloring(rng, n)
-        v = _eigvec(g, c, projected=bool(rng.integers(0, 2)))
+    cases = []
+    for weighted in (False, True):  # integer weights keep both sides exact
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            g = random_graph(rng, n, 0.5, weighted=weighted)
+            c = random_coloring(rng, n)
+            cases.append((g, c, _eigvec(g, c, projected=bool(rng.integers(0, 2)))))
+    cases += [_edgeless("RBRB"), _edgeless("RRBRB"), _two_edges()]
+    for g, c, v in cases:
         rec = paired_sweep(g, c, v)
         expected = pair_rescan(g, c.codes, v)
         if expected is None:
@@ -96,6 +123,8 @@ def test_paired_sweep_matches_rescan_oracle():
             assert rec.node_set.as_tuple() == expected[0]
             assert rec.density == pytest.approx(expected[1], abs=1e-12)
             assert rec.fair
+    assert paired_sweep(*_edgeless("RRBRB")).node_set.as_tuple() == (0, 2)
+    assert paired_sweep(*_two_edges()).node_set.as_tuple() == (0, 1)
 
 
 def test_run_algorithm_k4_all_variants(k4, k4_rrbb):
@@ -224,3 +253,11 @@ def test_dimension_mismatch_rejected(k4, k4_rrbb):
         general_sweep(k4, k4_rrbb, np.ones(3), 0.0)
     with pytest.raises(ValueError, match="does not match"):
         paired_sweep(k4, k4_rrbb, np.ones(5))
+
+
+def test_nan_or_negative_delta_rejected(k4, k4_rrbb):
+    for delta in (float("nan"), -0.5):
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            general_sweep(k4, k4_rrbb, np.ones(4), delta)
+        with pytest.raises(ValueError, match="delta must be non-negative"):
+            SweepConfig(delta=delta)
