@@ -12,13 +12,12 @@ core's own density while that is higher. The drop test carries a relative
 slack, so float rounding never removes a node of degree exactly rho*/2.
 
 On the core it runs Dinkelbach's parametric iteration on Goldberg's
-network: source -> u with capacity d_u, u -> sink with capacity rho, and
-each undirected edge {u, v} as two directed arcs of capacity w(u, v). A cut
+network, built once from arc arrays: source -> u with capacity d_u, u -> sink
+with capacity rho, and each edge {u, v} as two arcs of capacity w(u, v). A cut
 with source side S (minus the source) costs 2 w(E) - |S| (rho(S) - rho),
-so the minimum cut maximizes |S| (rho(S) - rho). The network is built
-once; each round sets the sink capacities to the density of the current
-set, and the min cut's source side is strictly denser until the current set
-is optimal.
+so the minimum cut maximizes |S| (rho(S) - rho). Each round sets the sink
+capacities to the density of the current set, and the min cut's source side
+is strictly denser until the current set is optimal.
 """
 
 from __future__ import annotations
@@ -34,38 +33,41 @@ from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
 from .sweep import SolutionRecord, SolveStatus, make_record
 
 
-class FlowNetwork:
-    """s-t network with a residual arc-list representation."""
+def _interleave(a, b) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ...; a scalar stands for a constant array."""
+    return np.stack(np.broadcast_arrays(a, b), axis=1).ravel()
 
-    def __init__(self, n_nodes: int, source: int, sink: int):
+
+class FlowNetwork:
+    """s-t network with a residual arc-list representation: input arc k,
+    ``tail[k] -> head[k]`` with capacity ``cap[k]``, is stored at index 2k and
+    its residual reverse arc at 2k + 1; each node lists its arcs in order."""
+
+    def __init__(self, n_nodes: int, source: int, sink: int,
+                 tail, head, cap):
         if n_nodes < 2:
             raise ValueError("a flow network needs at least source and sink")
         if not (0 <= source < n_nodes and 0 <= sink < n_nodes):
             raise ValueError("source/sink ids out of range")
         if source == sink:
             raise ValueError("source and sink must differ")
+        tail, head = np.asarray(tail, dtype=np.int64), np.asarray(head, dtype=np.int64)
+        cap = np.asarray(cap, dtype=np.float64)
+        unknown = (tail < 0) | (tail >= n_nodes) | (head < 0) | (head >= n_nodes)
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            raise ValueError(f"arc ({tail[k]}, {head[k]}) references an unknown node")
+        if (cap < 0).any():
+            raise ValueError("capacities must be non-negative")
         self.n = n_nodes
         self.source = source
         self.sink = sink
-        self._to: list[int] = []
-        self._cap: list[float] = []
-        self._head: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_arc(self, u: int, v: int, cap: float) -> int:
-        """Add arc u -> v and return its index; its capacity is ``_cap[index]``."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"arc ({u}, {v}) references an unknown node")
-        if cap < 0:
-            raise ValueError("capacities must be non-negative")
-        # forward arc at even index, residual reverse arc right after it
-        index = len(self._to)
-        self._head[u].append(index)
-        self._to.append(v)
-        self._cap.append(float(cap))
-        self._head[v].append(index + 1)
-        self._to.append(u)
-        self._cap.append(0.0)
-        return index
+        self._to: list[int] = _interleave(head, tail).tolist()
+        self._cap: list[float] = _interleave(cap, 0.0).tolist()
+        owner = _interleave(tail, head)
+        arcs = np.argsort(owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=n_nodes)).tolist()
+        self._head: list[list[int]] = [arcs[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
     @property
     def num_arcs(self) -> int:
@@ -132,18 +134,9 @@ def max_flow(net: FlowNetwork) -> tuple[float, NodeSet]:
                 a = path.pop()
                 u = to[a ^ 1]  # the reverse arc points back at the tail
 
-    # residual reachability from the source gives a minimum cut
-    seen = [False] * net.n
-    seen[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for a in head[u]:
-            v = to[a]
-            if not seen[v] and cap[a] > eps:
-                seen[v] = True
-                queue.append(v)
-    return total, NodeSet(i for i in range(net.n) if seen[i])
+    # the last BFS found no augmenting path: the nodes it reached from the
+    # source in the residual network are the source side of a minimum cut
+    return total, NodeSet(np.flatnonzero(np.array(level) >= 0))
 
 
 @dataclass(frozen=True)
@@ -247,25 +240,26 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
     if g.num_edges == 0:
         return DensestResult(NodeSet([0]), 0.0, 0)
     kept, core = _densest_core(g)
-    net = FlowNetwork(core.n + 2, source=core.n, sink=core.n + 1)
-    sink_arcs = []
-    for u in range(core.n):
-        d = float(core.degrees[u])
-        if d > 0.0:
-            net.add_arc(net.source, u, d)
-            sink_arcs.append(net.add_arc(u, net.sink, 0.0))
-    for u, v, w in core.edges():
-        net.add_arc(u, v, w)
-        net.add_arc(v, u, w)
+    # source -> u and u -> sink for every node of positive degree, then both
+    # orientations of every edge; u -> sink is forward arc 2j + 1, at _cap[4j + 2]
+    source, sink = core.n, core.n + 1
+    nodes = np.flatnonzero(core.degrees > 0.0)
+    tail = np.concatenate([_interleave(source, nodes),
+                           _interleave(core.edge_u, core.edge_v)])
+    head = np.concatenate([_interleave(nodes, sink),
+                           _interleave(core.edge_v, core.edge_u)])
+    cap = np.concatenate([_interleave(core.degrees[nodes], 0.0),
+                          np.repeat(core.edge_w, 2)])
+    net = FlowNetwork(core.n + 2, source, sink, tail, head, cap)
+    sink_arcs = slice(2, 4 * nodes.size, 4)
     best = NodeSet(range(core.n))
     rho = density(core, best)
     iterations = 0
     while True:
-        for a in sink_arcs:
-            net._cap[a] = rho
+        net._cap[sink_arcs] = [rho] * nodes.size
         _, side = max_flow(net)
         iterations += 1
-        chosen = NodeSet(i for i in side if i < core.n)
+        chosen = NodeSet(side.members[side.members < core.n])
         if chosen.size == 0 or (denser := density(core, chosen)) <= rho:
             return DensestResult(NodeSet(kept[best.members]), rho, iterations)
         best, rho = chosen, denser
@@ -282,7 +276,7 @@ def _padding(g: LabeledGraph, c: Coloring, base: NodeSet) -> list[int]:
     minority = RED if red < blue else BLUE
     mask = base.mask(g.n)
     # weight into the current set; -inf marks nodes that cannot be picked
-    gain = np.bincount(g.arc_src, weights=g.arc_w * mask[g.arc_dst], minlength=g.n)
+    gain = g.matvec(mask)
     gain[mask | (c.codes != minority)] = -np.inf
     picks = []
     for _ in range(min(abs(red - blue), int(np.isfinite(gain).sum()))):

@@ -1,15 +1,15 @@
 """Graph containers and the density / balance / fairness measures.
 
 Everything in this module is immutable after construction and safe to share
-between threads. Graphs are canonicalized on construction (self-loops dropped,
-duplicate edges merged by summing weights, endpoints stored with u < v and
-sorted), so the same edge multiset always produces identical arrays regardless
-of input order.
+between threads. Edges become a graph through one array canonicalizer,
+``LabeledGraph.from_arrays`` (self-loops dropped, endpoints stored with u < v
+and stably sorted, duplicates merged by summing weights in input order), so
+the same edge multiset always produces identical arrays regardless of input
+order; ``LabeledGraph.from_edges`` feeds it (u, v) / (u, v, w) items.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -73,7 +73,8 @@ class NodeSet:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int] = ()):
-        arr = np.unique(np.fromiter((int(i) for i in members), dtype=np.int64))
+        arr = members if isinstance(members, np.ndarray) else list(members)
+        arr = np.unique(np.asarray(arr, dtype=np.int64))
         if arr.size and arr[0] < 0:
             raise ValueError("node ids must be non-negative")
         arr.flags.writeable = False
@@ -158,21 +159,19 @@ class LabeledGraph:
         src = np.concatenate([edge_u, edge_v])
         dst = np.concatenate([edge_v, edge_u])
         w2 = np.concatenate([edge_w, edge_w])
-        order = np.lexsort((dst, src))
+        order = np.argsort(src * self.n + dst, kind="stable")
         self.arc_src = src[order]
         self.arc_dst = dst[order]
         self.arc_w = w2[order]
         for a in (self.arc_src, self.arc_dst, self.arc_w):
             a.flags.writeable = False
-        counts = np.bincount(self.arc_src, minlength=self.n) if self.n else np.zeros(0, np.int64)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        self.indptr = np.searchsorted(self.arc_src, np.arange(self.n + 1))
         self.indptr.flags.writeable = False
-        if self.n:
-            self.degrees = np.bincount(self.arc_src, weights=self.arc_w, minlength=self.n)
-        else:
-            self.degrees = np.zeros(0, dtype=np.float64)
+        # bincount of no arcs is int64 (also with weights), hence the cast
+        self.degrees = np.bincount(self.arc_src, weights=self.arc_w,
+                                   minlength=self.n).astype(np.float64)
         self.degrees.flags.writeable = False
-        self.d_max = float(self.degrees.max()) if self.n else 0.0
+        self.d_max = float(self.degrees.max(initial=0.0))
         if node_names is not None:
             names = tuple(str(s) for s in node_names)
             if len(names) != self.n:
@@ -184,50 +183,51 @@ class LabeledGraph:
         self.n_duplicates_merged = int(n_duplicates_merged)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence],
-                   node_names: Sequence[str] | None = None) -> "LabeledGraph":
-        """Build a graph from (u, v) or (u, v, w) items.
+    def from_arrays(cls, n: int, u, v, w=None,
+                    node_names: Sequence[str] | None = None) -> "LabeledGraph":
+        """Build a graph from edge columns; ``w`` defaults to all ones.
 
-        Unweighted pairs get weight 1.0. Self-loops are dropped and counted;
-        parallel edges are merged by summing their weights.
+        Every edge is checked before anything is dropped; the error names the
+        first bad edge in input order (an id out of range, then a non-finite
+        weight, then a negative one). Self-loops are dropped and counted.
+        Parallel edges are merged by summing their weights in input order.
         """
         if n < 0:
             raise ValueError("node count must be non-negative")
-        acc: dict[tuple[int, int], float] = {}
-        self_loops = 0
-        duplicates = 0
-        for item in edges:
-            if len(item) == 2:
-                u, v = item
-                w = 1.0
-            else:
-                u, v, w = item
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references a node id outside 0..{n - 1}")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
-            if w < 0.0:
-                raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
-            if u == v:
-                self_loops += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in acc:
-                acc[key] += w
-                duplicates += 1
-            else:
-                acc[key] = w
-        if acc:
-            keys = sorted(acc)
-            eu = np.array([k[0] for k in keys], dtype=np.int64)
-            ev = np.array([k[1] for k in keys], dtype=np.int64)
-            ew = np.array([acc[k] for k in keys], dtype=np.float64)
-        else:
-            eu = np.zeros(0, dtype=np.int64)
-            ev = np.zeros(0, dtype=np.int64)
-            ew = np.zeros(0, dtype=np.float64)
-        return cls(n, eu, ev, ew, node_names, self_loops, duplicates)
+        u, v = np.asarray(u), np.asarray(v)
+        w = np.ones(u.size) if w is None else np.asarray(w, dtype=np.float64)
+        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        infinite = ~np.isfinite(w)
+        bad = outside | infinite | (w < 0.0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            edge = f"edge ({int(u[i])}, {int(v[i])})"
+            if outside[i]:
+                raise ValueError(f"{edge} references a node id outside 0..{n - 1}")
+            if infinite[i]:
+                raise ValueError(f"{edge} has non-finite weight {float(w[i])}")
+            raise ValueError(f"{edge} has negative weight {float(w[i])}")
+        u, v = u.astype(np.int64), v.astype(np.int64)
+        # key (lo, hi) as lo * n + hi; n^2 fits in int64 for any n whose
+        # arrays fit in memory
+        key = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        order = np.argsort(key, kind="stable")  # duplicates keep input order
+        key, w = key[order], w[u != v][order]
+        first = np.diff(key, prepend=-1) != 0
+        # bincount adds each group's weights one by one, in input order; of
+        # no edges it is int64, hence the cast
+        ew = np.bincount(np.cumsum(first) - 1, weights=w).astype(np.float64)
+        return cls(n, *np.divmod(key[first], n), ew, node_names,
+                   u.size - key.size, key.size - ew.size)
+
+    @classmethod
+    def from_edges(cls, n: int, edges: Iterable[Sequence],
+                   node_names: Sequence[str] | None = None) -> "LabeledGraph":
+        """Build a graph from (u, v) or (u, v, w) items through
+        :meth:`from_arrays`; unweighted pairs get weight 1.0."""
+        rows = [(*item, 1.0) if len(item) == 2 else item for item in edges]
+        u, v, w = np.array(rows, dtype=object).reshape(len(rows), 3).T
+        return cls.from_arrays(n, u, v, w, node_names)
 
     @property
     def num_edges(self) -> int:
@@ -238,8 +238,8 @@ class LabeledGraph:
         return float(self.edge_w.sum())
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
-        for u, v, w in zip(self.edge_u, self.edge_v, self.edge_w):
-            yield int(u), int(v), float(w)
+        yield from zip(self.edge_u.tolist(), self.edge_v.tolist(),
+                       self.edge_w.tolist())
 
     def neighbors(self, u: int) -> tuple[np.ndarray, np.ndarray]:
         """(neighbor ids, weights) of node u, sorted by neighbor id."""

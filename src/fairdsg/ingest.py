@@ -11,6 +11,8 @@ Three external formats live here:
   header line ``n n_red n_blue``, one line of R/B color characters, then
   one ``u v w`` line per edge with u < v, sorted. Serialization is
   canonical, so parse -> serialize -> parse round-trips bit-identically.
+  The body is parsed into columns (Python ``int`` / ``float`` per token).
+  Graphs are built from edge arrays by ``LabeledGraph.from_arrays``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet, induced_subgraph
 
@@ -219,7 +223,7 @@ def polbooks_graph(doc: GmlDocument) -> tuple[LabeledGraph, Coloring]:
     Red and liberal to Blue. Values may be full words or the single letters
     used by some mirrors of the file.
     """
-    code_of: dict[int, int] = {}
+    colors: list[int] = []
     kept: list[GmlNode] = []
     for node in doc.nodes:
         raw = node.value if node.value is not None else ""
@@ -229,15 +233,14 @@ def polbooks_graph(doc: GmlDocument) -> tuple[LabeledGraph, Coloring]:
                               f"on node {node.id}")
         if color is None:
             continue
-        code_of[node.id] = color
+        colors.append(color)
         kept.append(node)
     new_id = {node.id: i for i, node in enumerate(kept)}
     names = [node.label if node.label is not None else str(node.id) for node in kept]
-    edges = [(new_id[s], new_id[t]) for s, t in doc.edges
-             if s in new_id and t in new_id]
-    graph = LabeledGraph.from_edges(len(kept), edges, node_names=names)
-    coloring = Coloring([code_of[node.id] for node in kept])
-    return graph, coloring
+    edges = np.array([(new_id[s], new_id[t]) for s, t in doc.edges
+                      if s in new_id and t in new_id], dtype=np.int64).reshape(-1, 2)
+    graph = LabeledGraph.from_arrays(len(kept), *edges.T, node_names=names)
+    return graph, Coloring(colors)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +309,16 @@ def build_product_graph(records: Iterable[ProductRecord],
         by_asin[rec.asin] = rec
     asins = sorted(by_asin)
     index = {a: i for i, a in enumerate(asins)}
-    pairs: set[tuple[int, int]] = set()
-    for asin in asins:
-        u = index[asin]
-        for target in by_asin[asin].also_buy:
-            if target == asin:
-                stats.n_self_refs += 1
-                continue
-            v = index.get(target)
-            if v is None:
-                stats.n_missing_refs += 1
-                continue
-            pairs.add((u, v) if u < v else (v, u))
-    graph = LabeledGraph.from_edges(len(asins), sorted(pairs), node_names=asins)
+    refs = [(i, index.get(t, -1)) for i, a in enumerate(asins)
+            for t in by_asin[a].also_buy]
+    src, dst = np.array(refs, dtype=np.int64).reshape(-1, 2).T
+    stats.n_self_refs = int(np.count_nonzero(src == dst))
+    stats.n_missing_refs = int(np.count_nonzero(dst < 0))
+    linked = (src != dst) & (dst >= 0)
+    lo, hi = np.minimum(src, dst)[linked], np.maximum(src, dst)[linked]
+    # one unit-weight edge per linked pair, however often it is listed
+    edges = np.divmod(np.unique(lo * len(asins) + hi), len(asins))
+    graph = LabeledGraph.from_arrays(len(asins), *edges, node_names=asins)
     categories = [by_asin[a].main_cat for a in asins]
     return graph, categories, stats
 
@@ -346,26 +346,25 @@ def category_pair_subgraphs(graph: LabeledGraph, categories: list[str],
         raise ValueError("min_nodes must be at least 1")
     if len(categories) != graph.n:
         raise ValueError("categories length must equal the node count")
-    members: dict[tuple[str, str], set[int]] = {}
-    for u, v, _ in graph.edges():
-        cu, cv = categories[u], categories[v]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        bucket = members.setdefault(key, set())
-        bucket.add(u)
-        bucket.add(v)
+    names, code = np.unique(np.array(categories, dtype=str), return_inverse=True)
+    cu, cv = code[graph.edge_u], code[graph.edge_v]
+    cross = cu != cv
+    # one (pair, node) row per end of a cross edge; the pair of category
+    # codes c1 < c2 is c1 * k + c2 over k categories
+    pair = (np.minimum(cu, cv) * names.size + np.maximum(cu, cv))[cross]
+    ends = np.concatenate([graph.edge_u[cross], graph.edge_v[cross]])
+    pair_of, node = np.unique(np.column_stack([np.tile(pair, 2), ends]), axis=0).T
+    starts = np.flatnonzero(np.diff(pair_of, prepend=-1))
     out = []
-    for (c1, c2) in sorted(members):
-        ids = members[(c1, c2)]
-        if len(ids) < min_nodes:
+    for p, ids in zip(pair_of[starts].tolist(), np.split(node, starts[1:])):
+        if ids.size < min_nodes:
             continue
-        sub = induced_subgraph(graph, NodeSet(ids))
-        original = sorted(ids)
-        coloring = Coloring([RED if categories[i] == c1 else BLUE for i in original])
+        red, blue = divmod(p, names.size)
+        c1, c2 = str(names[red]), str(names[blue])
+        coloring = Coloring(np.where(code[ids] == red, RED, BLUE))
         out.append(CategoryPairSubgraph(
             name=f"{c1}__{c2}", red_category=c1, blue_category=c2,
-            graph=sub, coloring=coloring))
+            graph=induced_subgraph(graph, NodeSet(ids)), coloring=coloring))
     return out
 
 
@@ -414,23 +413,40 @@ def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
     if (coloring.n_red, coloring.n_blue) != (n_red, n_blue):
         raise IngestError("edge list: header color counts disagree with the "
                           "color line")
-    edges = []
-    for lineno, line in enumerate(lines[at + 2:], start=at + 3):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise IngestError(f"edge list line {lineno}: expected 'u v w', "
-                              f"got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError:
-            raise IngestError(f"edge list line {lineno}: bad edge {line!r}") from None
+    body = lines[at + 2:]
+    sizes = np.fromiter(map(len, map(str.split, body)), dtype=np.int64,
+                        count=len(body))
+    wrong = np.flatnonzero((sizes != 3) & (sizes != 0))
+    # lines before the first wrong-length line are parsed first, so the
+    # earliest bad line is the one reported
+    end = int(wrong[0]) if wrong.size else len(body)
     try:
-        graph = LabeledGraph.from_edges(n, edges)
+        u, v, w = _edge_columns(" ".join(body[:end]).split())
+    except (ValueError, OverflowError):
+        for bad in range(end):
+            try:
+                _edge_columns(body[bad].split())
+            except (ValueError, OverflowError):
+                break
+        raise IngestError(f"edge list line {at + 3 + bad}: bad edge "
+                          f"{body[bad]!r}") from None
+    if wrong.size:
+        raise IngestError(f"edge list line {at + 3 + end}: expected 'u v w', "
+                          f"got {body[end]!r}")
+    del lines, body  # free the text before the graph is built
+    try:
+        graph = LabeledGraph.from_arrays(n, u, v, w)
     except ValueError as exc:
         raise IngestError(f"edge list: {exc}") from None
     return graph, coloring
+
+
+def _edge_columns(tokens: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 ids and float weights of 'u v w' tokens, each parsed by Python's
+    int or float; an id outside int64 raises OverflowError."""
+    k = len(tokens) // 3
+    u, v = (np.fromiter(map(int, tokens[i::3]), np.int64, k) for i in (0, 1))
+    return u, v, np.fromiter(map(float, tokens[2::3]), np.float64, k)
 
 
 def load_edgelist(path: str) -> tuple[LabeledGraph, Coloring]:

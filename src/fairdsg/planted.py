@@ -74,58 +74,50 @@ class PlantedInstance:
     measured: PlantedMeasurement
 
 
-def _sample_regular_pairs(rng: np.random.Generator, m: int, d: int) -> set | None:
-    """One attempt at a simple d-regular pairing of node stubs.
+def _sample_regular_pairs(rng: np.random.Generator, m: int,
+                          d: int) -> np.ndarray | None:
+    """One attempt at a simple d-regular pairing of node stubs, as the keys
+    u * m + v (u < v) of its edges.
 
     Pairs are drawn by shuffling the remaining stubs; colliding pairs
-    (self-loops, duplicates) feed the next round. Returns None when a round
-    makes no progress, in which case the caller restarts.
+    (self-loops, repeats of an earlier pair) feed the next round. Returns
+    None when a round makes no progress, in which case the caller restarts.
     """
-    if d == 0:
-        return set()
     stubs = np.repeat(np.arange(m), d)
-    edges: set[tuple[int, int]] = set()
+    keys = np.zeros(0, dtype=np.int64)
     while stubs.size:
         rng.shuffle(stubs)
-        leftover = []
-        progressed = False
-        for a, b in zip(stubs[0::2], stubs[1::2]):
-            a, b = int(a), int(b)
-            key = (a, b) if a < b else (b, a)
-            if a == b or key in edges:
-                leftover.append(a)
-                leftover.append(b)
-            else:
-                edges.add(key)
-                progressed = True
-        if not progressed:
+        a, b = stubs[0::2], stubs[1::2]
+        key = np.minimum(a, b) * m + np.maximum(a, b)
+        new = np.zeros(key.size, dtype=bool)
+        new[np.unique(key, return_index=True)[1]] = True  # first in the round
+        new &= (a != b) & ~np.isin(key, keys)
+        if not new.any():
             return None
-        stubs = np.array(leftover, dtype=np.int64)
-    return edges
+        keys = np.concatenate([keys, key[new]])
+        stubs = np.column_stack([a[~new], b[~new]]).ravel()
+    return keys
 
 
 def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
-                            eps: float, max_retries: int) -> set:
-    """Internal edges on working ids 0..m-1 with degrees in [(1-eps)d, (1+eps)d].
+                            eps: float, max_retries: int) -> np.ndarray:
+    """Internal edges, one (u, v) row each, on working ids 0..m-1 with
+    degrees in [(1-eps)d, (1+eps)d].
 
     Dense targets (d above (m-1)/2) are sampled as the complement of a
     sparse regular graph, where the stub matching behaves well.
     """
-    if d == m - 1:
-        return {(i, j) for i in range(m) for j in range(i + 1, m)}
     complement = d > (m - 1) / 2
     d_sample = (m - 1 - d) if complement else d
     lo, hi = (1.0 - eps) * d, (1.0 + eps) * d
     for _ in range(max_retries):
-        edges = _sample_regular_pairs(rng, m, d_sample)
-        if edges is None:
+        keys = _sample_regular_pairs(rng, m, d_sample)
+        if keys is None:
             continue
-        if complement:
-            edges = {(i, j) for i in range(m) for j in range(i + 1, m)} - edges
-        deg = np.zeros(m, dtype=np.int64)
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
+        if complement:  # the keys of all pairs u < v, minus the sampled ones
+            keys = np.setdiff1d(np.flatnonzero(np.triu(np.ones((m, m), bool), 1)), keys)
+        edges = np.column_stack(np.divmod(keys, m))
+        deg = np.bincount(edges.ravel(), minlength=m)
         if np.all((deg >= lo) & (deg <= hi)):
             return edges
     raise ValueError(
@@ -143,18 +135,16 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
     """
     n, m, d = params.n, params.m, params.d
     rng = np.random.default_rng(params.seed)
-    internal = _planted_internal_edges(rng, m, d, params.eps, max_retries)
-
-    edges: list[tuple[int, int]] = list(internal)
+    inner = _planted_internal_edges(rng, m, d, params.eps, max_retries)
+    tails, heads = [inner[:, 0]], [inner[:, 1]]
     if params.p_bg > 0.0 and n > m:
         # independent Bernoulli per non-internal pair (j >= m), sampled row
         # by row in pair order to keep memory linear in n
         for i in range(n - 1):
-            js = np.arange(max(i + 1, m), n)
-            if js.size == 0:
-                continue
+            js = np.arange(max(i + 1, m), n)  # never empty, as m < n
             hits = js[rng.random(js.size) < params.p_bg]
-            edges.extend((i, int(j)) for j in hits)
+            tails.append(np.full(hits.size, i))
+            heads.append(hits)
 
     perm = rng.permutation(n)
     colors = np.empty(n, dtype=np.int8)
@@ -166,16 +156,13 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
     colors[background_final[0::2]] = RED
     colors[background_final[1::2]] = BLUE
 
-    graph = LabeledGraph.from_edges(
-        n, ((int(perm[u]), int(perm[v])) for u, v in edges))
-    del edges  # one Python tuple per edge; free it before the eigensolves
+    graph = LabeledGraph.from_arrays(
+        n, perm[np.concatenate(tails)], perm[np.concatenate(heads)])
+    del tails, heads  # one array per row; free them before the eigensolves
     coloring = Coloring(colors)
     planted_set = NodeSet(perm[:m])
 
-    internal_deg = np.zeros(m, dtype=np.int64)
-    for a, b in internal:
-        internal_deg[a] += 1
-        internal_deg[b] += 1
+    internal_deg = np.bincount(inner.ravel(), minlength=m)
     eps_measured = float(np.max(np.abs(internal_deg - d)) / d) if d else 0.0
     theta = max(0.0, 1.0 - d / graph.d_max) if graph.d_max > 0 else 0.0
     profile = spectral_profile(graph, tol=eig_tol, max_iters=eig_max_iters,

@@ -1,16 +1,54 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's computational paths: dense matrices
-instead of CSR matvecs, a classical Jacobi rotation eigensolver instead of
-Lanczos, subset/cut enumeration instead of flow, and a from-scratch
-prefix re-scan instead of the incremental sweep.
+These deliberately avoid the library's computational paths: a per-edge
+dict loop instead of array canonicalization, dense matrices instead of CSR
+matvecs, a classical Jacobi rotation eigensolver instead of Lanczos,
+subset/cut enumeration instead of flow, and a full prefix re-scan instead
+of the incremental sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+
+def canonical_edges(n: int, edges):
+    """Canonical (u, v, w) lists, self-loops dropped and duplicates merged,
+    of (u, v) or (u, v, w) items, with the counts of both; one dict entry
+    per edge, weights summed in input order."""
+    if n < 0:
+        raise ValueError("node count must be non-negative")
+    acc: dict[tuple[int, int], float] = {}
+    self_loops = 0
+    duplicates = 0
+    for item in edges:
+        if len(item) == 2:
+            u, v = item
+            w = 1.0
+        else:
+            u, v, w = item
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references a node id outside 0..{n - 1}")
+        if not math.isfinite(w):
+            raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
+        if w < 0.0:
+            raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
+        if u == v:
+            self_loops += 1
+            continue
+        key = (u, v) if u < v else (v, u)
+        if key in acc:
+            acc[key] += w
+            duplicates += 1
+        else:
+            acc[key] = w
+    keys = sorted(acc)
+    return ([k[0] for k in keys], [k[1] for k in keys], [acc[k] for k in keys],
+            self_loops, duplicates)
 
 
 def dense_adjacency(g) -> np.ndarray:
@@ -45,21 +83,22 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12,
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = m[p, q]
+                apq = m.item(p, q)
                 if abs(apq) <= 1e-300:
                     continue
-                tau = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
+                app, aqq = m.item(p, p), m.item(q, q)
+                tau = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) \
+                    if tau != 0 else 1.0
+                c = 1.0 / math.hypot(1.0, t)
                 s = t * c
-                row_p = m[p, :].copy()
-                row_q = m[q, :].copy()
-                m[p, :] = c * row_p - s * row_q
-                m[q, :] = s * row_p + c * row_q
-                col_p = m[:, p].copy()
-                col_q = m[:, q].copy()
-                m[:, p] = c * col_p - s * col_q
-                m[:, q] = s * col_p + c * col_q
+                # rotate rows p and q, set the 2x2 block in closed form, and
+                # mirror the rows into the columns (the matrix stays symmetric)
+                row_p, row_q = m[p], m[q]
+                m[p], m[q] = c * row_p - s * row_q, s * row_p + c * row_q
+                m[p, p], m[q, q] = app - t * apq, aqq + t * apq
+                m[p, q] = m[q, p] = 0.0
+                m[:, p], m[:, q] = m[p], m[q]
     return np.sort(np.diagonal(m))[::-1]
 
 

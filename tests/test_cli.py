@@ -183,6 +183,23 @@ def test_zero_optimum_is_data_error(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("labels", ["RB", "R"])
+def test_2dfsg_on_edgeless_and_one_node_graphs(tmp_path, capsys, labels):
+    # run reports the zero optimum like every other algorithm; pareto
+    # emits the optimum's single point
+    path = tmp_path / "edgeless.el"
+    save_edgelist(LabeledGraph.from_edges(len(labels), []),
+                  Coloring.from_labels(labels), str(path))
+    assert main(["run", "--input", str(path), "--algorithm", "2dfsg",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert "zero unconstrained optimum" in capsys.readouterr().err
+    out = tmp_path / "p.csv"
+    assert main(["pareto", "--input", str(path), "--algorithms", "2dfsg",
+                 "--out", str(out)]) == 0
+    _, rows = _rows(str(out))
+    assert [r["algorithm"] for r in rows] == ["2dfsg"]
+
+
 def test_ingest_polbooks_command(tmp_path, capsys):
     gml = tmp_path / "books.gml"
     gml.write_text(GML, encoding="utf-8")

@@ -15,20 +15,23 @@ from oracles import (brute_densest_subsets, brute_largest_densest, brute_min_cut
                      dense_adjacency)
 
 
+def _network(n, source, sink, arcs):
+    """FlowNetwork over (tail, head, capacity) triples."""
+    tail = [u for u, _, _ in arcs]
+    head = [v for _, v, _ in arcs]
+    cap = [c for _, _, c in arcs]
+    return FlowNetwork(n, source, sink, tail, head, cap)
+
+
 def test_max_flow_single_arc():
-    net = FlowNetwork(2, source=0, sink=1)
-    net.add_arc(0, 1, 5.0)
+    net = _network(2, 0, 1, [(0, 1, 5.0)])
     value, side = max_flow(net)
     assert value == 5.0
     assert side.as_tuple() == (0,)
 
 
 def test_max_flow_parallel_paths():
-    net = FlowNetwork(4, source=0, sink=3)
-    net.add_arc(0, 1, 2.0)
-    net.add_arc(1, 3, 2.0)
-    net.add_arc(0, 2, 3.0)
-    net.add_arc(2, 3, 3.0)
+    net = _network(4, 0, 3, [(0, 1, 2.0), (1, 3, 2.0), (0, 2, 3.0), (2, 3, 3.0)])
     value, _ = max_flow(net)
     assert value == 5.0
 
@@ -42,9 +45,7 @@ def test_max_flow_matches_brute_min_cut():
             for v in range(n):
                 if u != v and rng.random() < 0.35:
                     arcs.append((u, v, float(rng.integers(1, 11))))
-        net = FlowNetwork(n, source=0, sink=n - 1)
-        for u, v, cap in arcs:
-            net.add_arc(u, v, cap)
+        net = _network(n, 0, n - 1, arcs)
         value, side = max_flow(net)
         assert value == pytest.approx(brute_min_cut(n, 0, n - 1, arcs), abs=1e-9)
         # the returned side realizes a cut of exactly the flow value
@@ -64,23 +65,20 @@ def test_max_flow_matches_brute_min_cut_fractional_capacities():
             for v in range(n):
                 if u != v and rng.random() < 0.4:
                     arcs.append((u, v, float(rng.integers(1, 64)) / 8.0))
-        net = FlowNetwork(n, source=0, sink=n - 1)
-        for u, v, cap in arcs:
-            net.add_arc(u, v, cap)
+        net = _network(n, 0, n - 1, arcs)
         value, _ = max_flow(net)
         assert value == pytest.approx(brute_min_cut(n, 0, n - 1, arcs), abs=1e-9)
 
 
 def test_flow_network_validation():
     with pytest.raises(ValueError):
-        FlowNetwork(1, 0, 0)
+        FlowNetwork(1, 0, 0, [], [], [])
     with pytest.raises(ValueError):
-        FlowNetwork(3, 0, 0)
-    net = FlowNetwork(3, 0, 2)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 5, 1.0)
-    with pytest.raises(ValueError):
-        net.add_arc(0, 1, -2.0)
+        FlowNetwork(3, 0, 0, [], [], [])
+    with pytest.raises(ValueError, match="unknown node"):
+        _network(3, 0, 2, [(0, 1, 1.0), (0, 5, 1.0)])
+    with pytest.raises(ValueError, match="non-negative"):
+        _network(3, 0, 2, [(0, 1, 1.0), (0, 1, -2.0)])
 
 
 def test_exact_densest_clique_with_pendant():

@@ -10,6 +10,7 @@ from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance,
                            is_fair)
 
 from conftest import random_graph
+from oracles import canonical_edges
 
 
 def test_triangle_density_all_nodes(triangle):
@@ -126,6 +127,71 @@ def test_construction_permutation_property(pairs, pyrandom):
     assert g1.d_max == (g1.degrees.max() if g1.n else 0.0)
 
 
+# non-dyadic weights whose sums depend on the order they are added in
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 1 / 3, 0.7, 1e-300, 1.0]),
+                    st.floats(0.0, 1e6))
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return n, []
+    ids = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(ids, ids, WEIGHTS), max_size=40))
+
+
+def _assert_matches_reference(g, n, edges):
+    eu, ev, ew, loops, merged = canonical_edges(n, edges)
+    assert g.n == n
+    assert g.edge_u.tolist() == eu and g.edge_v.tolist() == ev
+    assert g.edge_w.tobytes() == np.array(ew, dtype=np.float64).tobytes()
+    assert (g.n_self_loops_dropped, g.n_duplicates_merged) == (loops, merged)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_canonicalization_matches_the_dict_reference(case):
+    # ids drawn independently: duplicates come in both orientations
+    n, edges = case
+    cols = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    g = LabeledGraph.from_arrays(n, cols[:, 0].astype(np.int64),
+                                 cols[:, 1].astype(np.int64), cols[:, 2])
+    _assert_matches_reference(g, n, edges)
+    _assert_matches_reference(LabeledGraph.from_edges(n, edges), n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1),
+              st.sampled_from([1.0, 0.1, 0.0, -1.0, -0.5, float("nan"),
+                               float("inf"), float("-inf")])),
+    max_size=8))))
+def test_canonicalization_names_the_first_bad_edge(case):
+    # mixed range, nan and sign faults: the first bad edge in input order is
+    # reported, range before finiteness before sign, self-loops included
+    n, edges = case
+    try:
+        canonical_edges(n, edges)
+        expected = None
+    except ValueError as exc:
+        expected = str(exc)
+    u, v, w = (np.array(col) for col in zip(*edges)) if edges else ([], [], [])
+    for build in (lambda: LabeledGraph.from_arrays(n, u, v, w),
+                  lambda: LabeledGraph.from_edges(n, edges)):
+        if expected is None:
+            _assert_matches_reference(build(), n, edges)
+        else:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == expected
+
+
+def test_negative_zero_weight_reads_zero():
+    g = LabeledGraph.from_edges(2, [(0, 1, -0.0)])
+    assert g.edge_w.tobytes() == np.zeros(1).tobytes()
+
+
 def test_duplicate_edges_merge_and_self_loops_drop():
     g = LabeledGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.5), (2, 2, 1.0), (1, 2)])
     assert g.num_edges == 2
@@ -160,6 +226,14 @@ def test_edge_out_of_range_rejected():
 def test_zero_node_graph():
     g = LabeledGraph.from_edges(0, [])
     assert g.n == 0 and g.num_edges == 0 and g.d_max == 0.0
+
+
+def test_edgeless_graphs_keep_float_arrays():
+    # bincount of no edges is int64; weights and degrees stay float64
+    for n in (0, 1, 3):
+        g = LabeledGraph.from_arrays(n, [], [])
+        assert g.edge_w.dtype == g.arc_w.dtype == g.degrees.dtype == np.float64
+        assert g.indptr.tolist() == [0] * (n + 1)
 
 
 def test_coloring_counts_and_labels():

@@ -225,6 +225,59 @@ def test_edgelist_reader_skips_comments_and_validates():
             read_edgelist(io.StringIO(bad))
 
 
+BODY_ERRORS = [
+    ("0 1 1.0\n0 1\n", "edge list line 5: expected 'u v w', got '0 1'"),
+    ("0 1 1.0 2\n", "edge list line 4: expected 'u v w', got '0 1 1.0 2'"),
+    ("\n5\n", "edge list line 5: expected 'u v w', got '5'"),
+    ("0 2.5 1.0\n", "edge list line 4: bad edge '0 2.5 1.0'"),
+    ("0 1 1.0\n1 2 x\n", "edge list line 5: bad edge '1 2 x'"),
+    ("0 1 nan\n", "edge list: edge (0, 1) has non-finite weight nan"),
+    ("0 1\n1 2 1.0 3\n", "edge list line 4: expected 'u v w', got '0 1'"),
+    ("1 2 1.0 3\n0 1\n", "edge list line 4: expected 'u v w', got '1 2 1.0 3'"),
+    ("0 1 x\n0 1\n", "edge list line 4: bad edge '0 1 x'"),
+    ("0 1\n0 x 1.0\n", "edge list line 4: expected 'u v w', got '0 1'"),
+    ("0 1 1.0\n\n  \n1 2 y\n", "edge list line 7: bad edge '1 2 y'"),
+    ("0 1 nan\n0 7 1.0\n", "edge list: edge (0, 1) has non-finite weight nan"),
+    ("0 9 1.0\n0 1 nan\n",
+     "edge list: edge (0, 9) references a node id outside 0..2"),
+    ("0 1 1.0\n1 2 -0.5\n", "edge list: edge (1, 2) has negative weight -0.5"),
+]
+
+
+@pytest.mark.parametrize("body, message", BODY_ERRORS)
+def test_edgelist_body_errors_name_the_first_bad_line(body, message):
+    text = "# comment\n3 2 1\nRBR\n" + body
+    with pytest.raises(IngestError) as info:
+        read_edgelist(io.StringIO(text))
+    assert str(info.value) == message
+
+
+def test_edgelist_id_beyond_int64_is_a_bad_line():
+    text = "3 2 1\nRBR\n0 1 1.0\n0 99999999999999999999 1.0\n"
+    with pytest.raises(IngestError, match="^edge list line 4: bad edge"):
+        read_edgelist(io.StringIO(text))
+
+
+def test_edgelist_blank_lines_between_edges():
+    g, _ = read_edgelist(io.StringIO("3 2 1\nRBR\n\n0 1 1.5\n\n \n2 1 0.5\n\n"))
+    assert list(g.edges()) == [(0, 1, 1.5), (1, 2, 0.5)]
+
+
+def test_edgelist_round_trip_non_dyadic_weights():
+    g = LabeledGraph.from_edges(4, [(0, 1, 0.1), (2, 3, 1 / 3), (1, 2, 1e-300),
+                                    (0, 3, 0.1 + 0.2)])
+    c = Coloring.from_labels("RBRB")
+    buf = io.StringIO()
+    write_edgelist(g, c, buf)
+    text = buf.getvalue()
+    g2, c2 = read_edgelist(io.StringIO(text))
+    assert g2.same_structure(g) and c2 == c
+    assert g2.edge_w.tobytes() == g.edge_w.tobytes()
+    buf2 = io.StringIO()
+    write_edgelist(g2, c2, buf2)
+    assert buf2.getvalue() == text
+
+
 def test_edgelist_empty_graph_round_trip():
     g = LabeledGraph.from_edges(0, [])
     c = Coloring([])
