@@ -190,7 +190,8 @@ class LabeledGraph:
         Every edge is checked before anything is dropped; the error names the
         first bad edge in input order (an id out of range, then a non-finite
         weight, then a negative one). Self-loops are dropped and counted.
-        Parallel edges are merged by summing their weights in input order.
+        Parallel edges are merged by summing their weights in input order;
+        twice the merged total must be finite.
         """
         if n < 0:
             raise ValueError("node count must be non-negative")
@@ -217,6 +218,12 @@ class LabeledGraph:
         # bincount adds each group's weights one by one, in input order; of
         # no edges it is int64, hence the cast
         ew = np.bincount(np.cumsum(first) - 1, weights=w).astype(np.float64)
+        # every degree, density and flow value is at most twice the total
+        with np.errstate(over="ignore"):
+            total = float(ew.sum())
+        if not np.isfinite(2.0 * total):
+            raise ValueError(f"edge weights sum to {total}; twice that is not "
+                             f"a finite float")
         return cls(n, *np.divmod(key[first], n), ew, node_names,
                    u.size - key.size, key.size - ew.size)
 

@@ -2,10 +2,7 @@
 
 Three external formats live here:
 
-* a tolerant GML subset — ``graph [ ... ]`` blocks holding
-  ``node [ id N label "..." value "..." ]`` and
-  ``edge [ source N target N ]`` entries; unknown keys and nested blocks
-  are skipped, arbitrary whitespace is accepted, ``#`` starts a comment;
+* a tolerant GML subset, whose grammar is given below;
 * JSON-lines product metadata with the fields asin / main_cat / also_buy;
 * the internal edge-list format: optional leading ``#`` comment lines, a
   header line ``n n_red n_blue``, one line of R/B color characters, then
@@ -13,13 +10,26 @@ Three external formats live here:
   canonical, so parse -> serialize -> parse round-trips bit-identically.
   The body is parsed into columns (Python ``int`` / ``float`` per token).
   Graphs are built from edge arrays by ``LabeledGraph.from_arrays``.
+
+GML grammar. Each line is cut into tokens: ``#`` outside a string comments
+out the rest of the line, a string runs from ``"`` to the next ``"`` on the
+same line (no escapes; an unclosed one is an error), ``[`` and ``]`` stand
+alone, and any other run of non-space characters is an atom. At the top
+level only ``graph [`` opens a list that is read; other tokens and balanced
+lists are skipped, and a stray ``]`` is an error. In a graph list and its
+``node [ ... ]`` and ``edge [ ... ]`` lists, tokens pair up as ``key value``
+with an atom, string or list as the value, and the first scalar value of a
+key wins; every other list is only bracket-matched. A node needs a unique
+integer ``id`` and may carry ``label`` and ``value``; an edge needs integer
+``source`` and ``target`` ids of nodes in the document.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -53,155 +63,94 @@ class GmlDocument:
     edges: list[tuple[int, int]]
 
 
-def _tokenize_gml(text: str) -> Iterator[tuple[object, int]]:
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch.isspace():
-                i += 1
-            elif ch == "#":
-                break
-            elif ch in "[]":
-                yield ch, lineno
-                i += 1
-            elif ch == '"':
-                j = line.find('"', i + 1)
-                if j < 0:
-                    raise ParseError("unterminated string", lineno)
-                yield ("STR", line[i + 1:j]), lineno
-                i = j + 1
-            else:
-                j = i
-                while j < len(line) and not line[j].isspace() and line[j] not in '[]"':
-                    j += 1
-                yield ("ATOM", line[i:j]), lineno
-                i = j
+_GML_TOKEN = re.compile(r'#.*|[\[\]]|"[^"]*"?|[^\s\[\]"]+')
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.items = list(_tokenize_gml(text))
-        self.pos = 0
-        self.last_line = self.items[-1][1] if self.items else 1
-
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, self.last_line)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-
-def _skip_block(toks: _Tokens) -> None:
-    """Consume a balanced [...] block whose '[' was already taken."""
-    depth = 1
-    while depth:
-        tok, line = toks.take()
-        if tok is None:
-            raise ParseError("unbalanced brackets: unexpected end of input", line)
-        if tok == "[":
-            depth += 1
-        elif tok == "]":
-            depth -= 1
-
-
-def _parse_int(tok, line: int, what: str) -> int:
-    if not (isinstance(tok, tuple) and tok[0] == "ATOM"):
-        raise ParseError(f"{what} must be an integer", line)
-    try:
-        return int(tok[1])
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {tok[1]!r}", line) from None
-
-
-def _parse_item_block(toks: _Tokens) -> dict[str, tuple[object, int]]:
-    """Key/value pairs of a node or edge block; nested blocks are skipped."""
-    fields: dict[str, tuple[object, int]] = {}
-    while True:
-        tok, line = toks.take()
-        if tok is None:
-            raise ParseError("unbalanced brackets: unexpected end of input", line)
-        if tok == "]":
-            return fields
-        if tok == "[":
-            _skip_block(toks)
-            continue
-        key = tok[1]
-        nxt, nline = toks.peek()
-        if nxt == "[":
-            toks.take()
-            _skip_block(toks)
-        elif nxt is None or nxt == "]":
-            raise ParseError(f"key {key!r} has no value", line)
-        else:
-            toks.take()
-            if key not in fields:
-                fields[key] = (nxt, nline)
+def _gml_ints(fields: dict, kind: str, keys: tuple[str, ...], line: int) -> list[int]:
+    """The integer fields ``keys`` of a node or edge list whose key is on
+    ``line``: every key must be present before any value is read."""
+    for key in keys:
+        if key not in fields:
+            raise ParseError(f"{kind} block without {key}", line)
+    values = []
+    for key in keys:
+        (tag, text), at = fields[key]
+        if tag != "ATOM":
+            raise ParseError(f"{kind} {key} must be an integer", at)
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ParseError(f"{kind} {key} must be an integer, got {text!r}",
+                             at) from None
+    return values
 
 
 def parse_gml(text: str) -> GmlDocument:
-    """Parse the GML subset; unknown keys are skipped, errors carry lines."""
-    toks = _Tokens(text)
+    """Parse the GML subset; unknown keys are skipped, errors carry lines.
+
+    One pass turns the text into tokens, then one loop over a stack of open
+    lists reads them, so nesting depth is bounded by memory, not recursion.
+    """
+    toks: list[tuple[object, int]] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in _GML_TOKEN.findall(line):
+            if tok[0] == "#":
+                break
+            if tok[0] == '"':
+                if len(tok) < 2 or tok[-1] != '"':
+                    raise ParseError("unterminated string", lineno)
+                toks.append((("STR", tok[1:-1]), lineno))
+            else:
+                toks.append((tok if tok in ("[", "]") else ("ATOM", tok), lineno))
     nodes: list[GmlNode] = []
     edges: list[tuple[int, int, int]] = []
     seen_ids: set[int] = set()
-    in_graph = False
-    while True:
-        tok, line = toks.take()
-        if tok is None:
-            if in_graph:
-                raise ParseError("unbalanced brackets: graph block never closed", line)
-            break
-        if not in_graph:
-            if isinstance(tok, tuple) and tok[0] == "ATOM" and tok[1] == "graph":
-                nxt, _ = toks.peek()
-                if nxt == "[":
-                    toks.take()
-                    in_graph = True
-                continue
-            if tok == "[":
-                _skip_block(toks)
-            elif tok == "]":
-                raise ParseError("unbalanced brackets: unexpected ']'", line)
-            continue
-        # inside the graph block
-        if tok == "]":
-            in_graph = False
-            continue
+    # open lists as (kind, line of its key, fields read so far); kind is
+    # "graph", "node", "edge", or None for a list that is only bracket-matched
+    stack: list[tuple[str | None, int, dict]] = []
+    i = 0
+    while i < len(toks):
+        tok, line = toks[i]
+        nxt, nline = toks[i + 1] if i + 1 < len(toks) else (None, line)
+        i += 1
         if tok == "[":
-            _skip_block(toks)
-            continue
-        key = tok[1]
-        nxt, _ = toks.peek()
-        if nxt == "[":
-            toks.take()
-            if key == "node":
-                fields = _parse_item_block(toks)
-                if "id" not in fields:
-                    raise ParseError("node block without id", line)
-                node_id = _parse_int(fields["id"][0], fields["id"][1], "node id")
+            stack.append((None, line, {}))
+        elif tok == "]":
+            if not stack:
+                raise ParseError("unbalanced brackets: unexpected ']'", line)
+            kind, kline, fields = stack.pop()
+            if kind == "node":
+                (node_id,) = _gml_ints(fields, kind, ("id",), kline)
                 if node_id in seen_ids:
                     raise ParseError(f"duplicate node id {node_id}", fields["id"][1])
                 seen_ids.add(node_id)
-                label = fields["label"][0][1] if "label" in fields else None
-                value = fields["value"][0][1] if "value" in fields else None
+                label, value = (fields[k][0][1] if k in fields else None
+                                for k in ("label", "value"))
                 nodes.append(GmlNode(node_id, label, value))
-            elif key == "edge":
-                fields = _parse_item_block(toks)
-                for want in ("source", "target"):
-                    if want not in fields:
-                        raise ParseError(f"edge block without {want}", line)
-                src = _parse_int(fields["source"][0], fields["source"][1], "edge source")
-                dst = _parse_int(fields["target"][0], fields["target"][1], "edge target")
-                edges.append((src, dst, line))
+            elif kind == "edge":
+                edges.append((*_gml_ints(fields, kind, ("source", "target"), kline),
+                              kline))
+        elif not stack:  # top level: only `graph [` opens a list that is read
+            if tok == ("ATOM", "graph") and nxt == "[":
+                stack.append(("graph", line, {}))
+                i += 1
+        elif stack[-1][0] is not None:  # `key value` or `key [` in a read list
+            kind, _, fields = stack[-1]
+            key = tok[1]
+            if nxt is None and kind == "graph":
+                raise ParseError("unbalanced brackets: unexpected end of input", line)
+            if nxt is None or nxt == "]":
+                raise ParseError(f"key {key!r} has no value", line)
+            i += 1
+            if nxt == "[":
+                read = kind == "graph" and key in ("node", "edge")
+                stack.append((key if read else None, line, {}))
             else:
-                _skip_block(toks)
-        elif nxt is None:
-            raise ParseError("unbalanced brackets: unexpected end of input", line)
-        else:
-            toks.take()  # scalar value of an unknown key
+                fields.setdefault(key, (nxt, nline))
+    if stack:
+        what = ("graph block never closed" if stack[-1][0] == "graph"
+                else "unexpected end of input")
+        raise ParseError(f"unbalanced brackets: {what}", toks[-1][1])
     for src, dst, eline in edges:
         for endpoint in (src, dst):
             if endpoint not in seen_ids:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from fairdsg.cli import main
+from fairdsg.cli import RUN_ALGORITHMS, main
 from fairdsg.graph import Coloring, LabeledGraph
 from fairdsg.ingest import load_edgelist, save_edgelist
 from fairdsg.report import read_csv
@@ -372,3 +372,79 @@ def test_summary_rejects_non_run_csv(tmp_path, capsys):
     assert main(["summary", "--input", str(bogus),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert "not a run CSV" in capsys.readouterr().err
+
+
+# Degenerate inputs as edge-list text: (color line, edge lines). Parallel
+# lines stay in the file, and the overflow files cannot be built as graphs.
+_K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+DEGENERATE = {
+    "edgeless": ("RBR", []),
+    "one_node": ("R", []),
+    "one_color": ("RRRR", ["0 1 1.0", "0 2 1.0", "1 2 1.0", "2 3 1.0"]),
+    "two_k4": ("RBRBRBRB", [f"{u + b} {v + b} 1.0" for b in (0, 4) for u, v in _K4]),
+    "parallel": ("RBRB", ["0 1 1.0", "0 1 2.0", "1 2 1.0", "1 2 0.5", "2 3 1.0"]),
+    "zero_weights": ("RBRB", ["0 1 0.0", "1 2 0.0", "2 3 0.0"]),
+    "subnormal_weights": ("RBRB", ["0 1 5e-324", "1 2 5e-324", "2 3 5e-324"]),
+    "overflow_one_edge": ("RB", ["0 1 1e308"]),
+    "overflow_parallel": ("RB", ["0 1 1e308", "0 1 1e308"]),
+    "overflow_path": ("RBR", ["0 1 1e308", "1 2 1e308"]),
+}
+ZERO_OPTIMUM = ("edgeless", "one_node", "zero_weights")
+OVERFLOW = ("overflow_one_edge", "overflow_parallel", "overflow_path")
+COMMANDS = [("run", "--algorithm", name) for name in RUN_ALGORITHMS] + [
+    ("pareto", "--algorithms", "ss,fss,ps,fps,2dfsg")]
+
+
+def _degenerate_file(tmp_path, name: str) -> str:
+    labels, lines = DEGENERATE[name]
+    path = tmp_path / f"{name}.el"
+    path.write_text(f"{len(labels)} {labels.count('R')} {labels.count('B')}\n"
+                    f"{labels}\n" + "".join(f"{line}\n" for line in lines),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_graphs_exit_0_or_2_without_traceback(tmp_path, capsys, name):
+    path = _degenerate_file(tmp_path, name)
+    for command in COMMANDS:
+        code = main([*command, "--input", path, "--seed", "1",
+                     "--out", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err, (command, err)
+        if name in OVERFLOW:
+            # the doubled weight total overflows: rejected on load
+            assert code == 2 and "twice that is not a finite float" in err
+        elif name in ZERO_OPTIMUM:
+            # run normalizes by the optimum; pareto needs no normalization
+            assert code == (0 if command[0] == "pareto" else 2)
+            if code:
+                assert "zero unconstrained optimum" in err
+        else:
+            assert code == 0, (command, err)
+
+
+def test_one_color_graph_statuses(tmp_path):
+    path = _degenerate_file(tmp_path, "one_color")
+    expected = {"ps": "NoFeasiblePrefix", "fps": "NoFeasiblePrefix",
+                "oracle": "NoFeasiblePrefix", "2dfsg": "Unfair"}
+    for algorithm, status in expected.items():
+        out = tmp_path / f"{algorithm}.csv"
+        assert main(["run", "--input", path, "--algorithm", algorithm,
+                     "--out", str(out)]) == 0
+        assert _rows(str(out))[1][0]["status"] == status
+
+
+def test_fss_row_on_tied_top_eigenvalue_is_seed_independent(tmp_path):
+    # two disjoint K4s: lambda1 = lambda2 = 3
+    path = _degenerate_file(tmp_path, "two_k4")
+    rows = []
+    for seed in (1, 2, 3):
+        out = tmp_path / f"fss{seed}.csv"
+        assert main(["run", "--input", path, "--algorithm", "fss",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        row = _rows(str(out))[1][0]
+        assert row.pop("seed") == str(seed)
+        rows.append(row)
+    assert rows[0] == rows[1] == rows[2]
+    assert rows[0]["status"] == "Found" and rows[0]["sol_size"] == "4"

@@ -218,6 +218,26 @@ def test_non_finite_weight_rejected(w):
         LabeledGraph.from_edges(3, [(0, 1, w)])
 
 
+@pytest.mark.parametrize("n, u, v, w, total", [
+    (2, [0], [1], [1e308], "1e+308"),              # finite total, twice is not
+    (2, [0, 1], [1, 0], [1e308, 1e308], "inf"),    # parallel edges merge to inf
+    (3, [0, 1], [1, 2], [1e308, 1e308], "inf"),    # distinct edges overflow
+])
+def test_weight_total_whose_double_overflows_rejected(n, u, v, w, total):
+    # degrees, densities and flows are at most twice the total; raising
+    # must not warn on the way (RuntimeWarnings fail the suite)
+    with pytest.raises(ValueError) as info:
+        LabeledGraph.from_arrays(n, u, v, w)
+    assert str(info.value) == (f"edge weights sum to {total}; twice that is "
+                               f"not a finite float")
+
+
+def test_largest_weight_total_accepted():
+    big = np.finfo(np.float64).max / 2
+    g = LabeledGraph.from_arrays(3, [0, 1], [1, 2], [big / 2, big / 2])
+    assert g.total_weight == big and g.d_max == big
+
+
 def test_edge_out_of_range_rejected():
     with pytest.raises(ValueError, match="outside"):
         LabeledGraph.from_edges(2, [(0, 2)])

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairdsg.cli import main
 from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
-from fairdsg.ingest import (IngestError, ParseError, ProductRecord,
+from fairdsg.ingest import (GmlNode, IngestError, ParseError, ProductRecord,
                             build_product_graph, category_pair_subgraphs,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
                             read_edgelist, write_edgelist)
@@ -87,6 +93,112 @@ def test_parser_rejects_unknown_edge_endpoint():
 def test_parser_rejects_unterminated_string():
     with pytest.raises(ParseError, match="unterminated"):
         parse_gml('graph [ node [ id 0 label "oops ] ]')
+
+
+def test_graph_key_before_closing_bracket_has_no_value():
+    # the bracket closes the graph list; it is not the key's value
+    with pytest.raises(ParseError, match="key 'directed' has no value") as err:
+        parse_gml("graph [\n node [ id 0 ]\n directed\n]\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="key 'directed' has no value"):
+        parse_gml("graph [ directed ] node [ id 0 ] ]")
+
+
+def test_parser_reads_a_100000_deep_unknown_list():
+    depth = 100_000
+    text = ("graph [ node [ id 0 graphics " + "[ " * depth + "x 1 " + "] " * depth
+            + "] ]")
+    assert parse_gml(text).nodes == [GmlNode(0)]
+
+
+# Generated documents: the generator plants nodes and edges among unknown
+# keys, nested unknown lists, comments, strings holding brackets and `#`,
+# and repeated keys whose later values must lose.
+_SPACE = st.sampled_from([" ", "\t", "\n", " \r\n ", " # note ] [ \"\n"])
+_STRING = st.text(alphabet="ab [#]_-", max_size=6)
+_SCALAR = st.one_of(st.sampled_from(["x", "3.5", "-2", "a#b", "1e3", "graph",
+                                     "node", "edge", "id", "source"]),
+                    _STRING.map('"{}"'.format))
+_UNKNOWN = st.recursive(_SCALAR, lambda inner: st.lists(
+    st.tuples(st.sampled_from(["k", "id", "node", "edge", "graph"]), inner),
+    max_size=3).map(lambda kvs: "[ " + " ".join(f"{k} {v}" for k, v in kvs)
+                    + " ]"), max_leaves=6)
+
+
+@st.composite
+def gml_documents(draw):
+    """(text, planted nodes, planted edges) of a well-formed GML document."""
+    ids = draw(st.lists(st.integers(-99, 99), unique=True, max_size=6))
+    planted = []  # (kind, planted value, its fields)
+    for node_id in ids:
+        label, value = draw(st.none() | _STRING), draw(st.none() | _STRING)
+        fields = [("id", str(node_id))] + [
+            (key, f'"{text}"') for key, text in (("label", label), ("value", value))
+            if text is not None]
+        planted.append(("node", GmlNode(node_id, label, value), fields))
+    for _ in range(draw(st.integers(0, 6)) if ids else 0):
+        ends = (draw(st.sampled_from(ids)), draw(st.sampled_from(ids)))
+        planted.append(("edge", ends, [("source", str(ends[0])),
+                                        ("target", str(ends[1]))]))
+    planted = draw(st.permutations(planted))
+    parts = [draw(st.sampled_from(["", 'Creator "x" [ graph [ ] ] ', "version 2 "])),
+             "graph", draw(_SPACE), "["]
+    for kind, _, fields in planted:
+        body = [f"{key} {text}" for key, text in draw(st.permutations(fields))]
+        # a list value never counts, before or after the planted value; a
+        # repeated scalar after it loses
+        for key in draw(st.lists(st.sampled_from(["id", "label", "source"]),
+                                 max_size=1)):
+            body.insert(0, f"{key} [ {draw(_SCALAR)} ]")
+        for key in draw(st.lists(st.sampled_from([k for k, _ in fields]
+                                                 + ["graphics", "w"]), max_size=2)):
+            body.append(f"{key} {draw(_UNKNOWN)}")
+        parts += [draw(_SPACE), kind, " [ ", draw(_SPACE).join(body), " ]"]
+        if draw(st.booleans()):
+            parts.append(f" {draw(st.sampled_from(['misc', 'directed']))} "
+                         f"{draw(_UNKNOWN)}")
+    parts += [draw(_SPACE), "]", draw(st.sampled_from(["", " trailer [ x ]"]))]
+    nodes = [item for kind, item, _ in planted if kind == "node"]
+    edges = [item for kind, item, _ in planted if kind == "edge"]
+    return "".join(parts), nodes, edges
+
+
+@settings(max_examples=100, deadline=None)
+@given(gml_documents())
+def test_parser_yields_exactly_the_planted_nodes_and_edges(case):
+    text, nodes, edges = case
+    doc = parse_gml(text)
+    assert doc.nodes == nodes and doc.edges == edges
+
+
+_SOUP = st.lists(st.sampled_from(
+    ["graph", "node", "edge", "id", "source", "target", "label", "value",
+     "directed", "0", "1", "-1", "x", "[", "]", '"s"', '"node"', '"', "#",
+     "\n"]), max_size=30).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SOUP, _SOUP.map("graph [ {}".format)))
+def test_parser_rejects_token_soups_only_with_parse_error(text):
+    try:
+        parse_gml(text)
+    except ParseError:
+        pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_SOUP.map("graph [ {}".format),
+                gml_documents().map(lambda case: case[0])))
+def test_ingest_polbooks_exits_0_or_2_without_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        gml, out = os.path.join(tmp, "in.gml"), os.path.join(tmp, "out.el")
+        with open(gml, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["ingest-polbooks", "--input", gml, "--out", out])
+    assert code in (0, 2)
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_polbooks_graph_filters_neutral_and_colors():
