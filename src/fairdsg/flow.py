@@ -8,8 +8,10 @@ would leave a denser set. So for any lower bound L <= rho*, peeling the
 nodes of weighted degree below L/2 until none is left keeps every densest
 set, the largest one included. L starts as the best density seen by a batch
 peel (Bahmani, Kumar & Vassilvitskii, PVLDB 2012) and is raised to the
-core's own density while that is higher. The drop test carries a relative
-slack, so float rounding never removes a node of degree exactly rho*/2.
+core's own density while that is higher. Each round drops its first wave,
+every node below L/2, in array operations; a per-node stack then peels the
+cascade that wave sets off. The drop test carries a relative slack, so
+float rounding never removes a node of degree exactly rho*/2.
 
 On the core it runs Dinkelbach's parametric iteration on Goldberg's
 network, built once from arc arrays: source -> u with capacity d_u, u -> sink
@@ -181,38 +183,47 @@ def _densest_core(g: LabeledGraph) -> tuple[np.ndarray, LabeledGraph]:
     """Sorted ids of a core holding every maximum-density set, and the
     subgraph they induce, relabelled in id order.
 
-    Peels to the L/2-core with a stack, L from ``_peel_lower_bound``, then
-    again with L = rho(core) while the core is denser than L. Each round
-    starts from the core's degrees as fresh sums; a node leaves once, its
-    neighbours' degrees are decremented, and a decremented degree is summed
-    afresh before its node is dropped, so rounding in the running sums never
-    drops one.
+    Peels to the L/2-core, L from ``_peel_lower_bound``, then again with
+    L = rho(core) while the core is denser than L. Each round starts from
+    the core's degrees as fresh sums. Its first wave, every node below L/2,
+    leaves at once, and the survivors' degrees are summed afresh in arrays.
+    A stack takes the cascade: a node leaves once, its neighbours' degrees
+    are decremented, and a decremented degree is summed afresh before its
+    node is dropped, so rounding in the running sums never drops one.
     """
-    indptr = g.indptr.tolist()
-    dst = g.arc_dst.tolist()
-    wt = g.arc_w.tolist()
     lower = _peel_lower_bound(g)
     kept, core = np.arange(g.n), g
     while True:
         limit = 0.5 * lower * (1.0 - _DROP_SLACK)
-        stack = kept[core.degrees < limit].tolist()
+        # the first wave; arcs are in CSR order, so bincount sums each
+        # survivor's arcs in the order the stack's fresh sums do
+        inside = core.degrees >= limit
+        both = inside[core.arc_src] & inside[core.arc_dst]
+        fresh = np.bincount(core.arc_src[both], weights=core.arc_w[both],
+                            minlength=core.n)
+        seeds = inside & (fresh < limit)
         alive = np.zeros(g.n, dtype=bool)
-        alive[kept] = core.degrees >= limit
-        deg = np.zeros(g.n)
-        deg[kept] = core.degrees
-        alive, deg = alive.tolist(), deg.tolist()
-        while stack:
-            v = stack.pop()
-            for a in range(indptr[v], indptr[v + 1]):
-                u = dst[a]
-                if alive[u]:
-                    deg[u] -= wt[a]
-                    if deg[u] < limit:
-                        deg[u] = sum(wt[b] for b in range(indptr[u], indptr[u + 1])
-                                     if alive[dst[b]])
+        alive[kept] = inside & ~seeds
+        stack = kept[seeds].tolist()
+        if stack:
+            indptr = g.indptr.tolist()
+            dst = g.arc_dst.tolist()
+            wt = g.arc_w.tolist()
+            deg = np.zeros(g.n)
+            deg[kept] = fresh
+            alive, deg = alive.tolist(), deg.tolist()
+            while stack:
+                v = stack.pop()
+                for a in range(indptr[v], indptr[v + 1]):
+                    u = dst[a]
+                    if alive[u]:
+                        deg[u] -= wt[a]
                         if deg[u] < limit:
-                            alive[u] = False
-                            stack.append(u)
+                            deg[u] = sum(wt[b] for b in range(indptr[u], indptr[u + 1])
+                                         if alive[dst[b]])
+                            if deg[u] < limit:
+                                alive[u] = False
+                                stack.append(u)
         kept = np.flatnonzero(alive)
         core = induced_subgraph(g, NodeSet(kept))
         rho = 2.0 * core.total_weight / core.n

@@ -8,8 +8,9 @@ Three external formats live here:
   header line ``n n_red n_blue``, one line of R/B color characters, then
   one ``u v w`` line per edge with u < v, sorted. Serialization is
   canonical, so parse -> serialize -> parse round-trips bit-identically.
-  The body is parsed into columns (Python ``int`` / ``float`` per token).
-  Graphs are built from edge arrays by ``LabeledGraph.from_arrays``.
+  Python's ``int`` / ``float`` define the accepted literals; numpy's C
+  reader parses the common case (see ``read_edgelist``). Graphs are built
+  from edge arrays by ``LabeledGraph.from_arrays``.
 
 GML grammar. Each line is cut into tokens: ``#`` outside a string comments
 out the rest of the line, a string runs from ``"`` to the next ``"`` on the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -335,6 +337,14 @@ def write_edgelist(g: LabeledGraph, c: Coloring, out: IO[str],
 
 
 def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
+    """Parse the edge-list format; errors name the first bad line.
+
+    Python's ``int`` and ``float`` define which id and weight literals are
+    accepted. numpy's C reader takes the common case in one call: on ASCII
+    lines it accepts a subset of those literals and gives the same values.
+    A body it rejects, with an error or any warning, is parsed line by line
+    with ``str.split``, ``int`` and ``float``; ids must fit in int64.
+    """
     lines = source.read().splitlines()
     at = 0
     while at < len(lines) and lines[at].startswith("#"):
@@ -363,25 +373,7 @@ def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
         raise IngestError("edge list: header color counts disagree with the "
                           "color line")
     body = lines[at + 2:]
-    sizes = np.fromiter(map(len, map(str.split, body)), dtype=np.int64,
-                        count=len(body))
-    wrong = np.flatnonzero((sizes != 3) & (sizes != 0))
-    # lines before the first wrong-length line are parsed first, so the
-    # earliest bad line is the one reported
-    end = int(wrong[0]) if wrong.size else len(body)
-    try:
-        u, v, w = _edge_columns(" ".join(body[:end]).split())
-    except (ValueError, OverflowError):
-        for bad in range(end):
-            try:
-                _edge_columns(body[bad].split())
-            except (ValueError, OverflowError):
-                break
-        raise IngestError(f"edge list line {at + 3 + bad}: bad edge "
-                          f"{body[bad]!r}") from None
-    if wrong.size:
-        raise IngestError(f"edge list line {at + 3 + end}: expected 'u v w', "
-                          f"got {body[end]!r}")
+    u, v, w = _edge_columns(body, at + 3)
     del lines, body  # free the text before the graph is built
     try:
         graph = LabeledGraph.from_arrays(n, u, v, w)
@@ -390,12 +382,46 @@ def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
     return graph, coloring
 
 
-def _edge_columns(tokens: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """int64 ids and float weights of 'u v w' tokens, each parsed by Python's
-    int or float; an id outside int64 raises OverflowError."""
-    k = len(tokens) // 3
-    u, v = (np.fromiter(map(int, tokens[i::3]), np.int64, k) for i in (0, 1))
-    return u, v, np.fromiter(map(float, tokens[2::3]), np.float64, k)
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_INT64 = np.iinfo(np.int64)
+
+
+def _edge_columns(body: list[str], first: int,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 ids and float weights of the 'u v w' lines ``body``, whose
+    first line is line ``first`` of the file; blank lines are skipped.
+
+    numpy's integer parser hands each character to C's ``isdigit``, which
+    is undefined beyond ASCII: numpy 2.4 reads some such characters as
+    digits and crashes on others, so only ASCII bodies reach it.
+    """
+    if all(map(str.isascii, body)):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(body, dtype=_EDGE_ROW, comments=None, ndmin=1)
+            return rows["u"], rows["v"], rows["w"]
+        except (ValueError, Warning):
+            pass
+    u, v, w = [], [], []
+    for lineno, line in enumerate(body, start=first):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 3:
+            raise IngestError(f"edge list line {lineno}: expected 'u v w', "
+                              f"got {line!r}")
+        try:
+            a, b, x = int(tokens[0]), int(tokens[1]), float(tokens[2])
+            if not (_INT64.min <= min(a, b) and max(a, b) <= _INT64.max):
+                raise ValueError("id outside int64")
+        except ValueError:
+            raise IngestError(f"edge list line {lineno}: bad edge {line!r}") from None
+        u.append(a)
+        v.append(b)
+        w.append(x)
+    return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+            np.array(w, dtype=np.float64))
 
 
 def load_edgelist(path: str) -> tuple[LabeledGraph, Coloring]:

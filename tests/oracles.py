@@ -3,8 +3,9 @@
 These deliberately avoid the library's computational paths: a per-edge
 dict loop instead of array canonicalization, dense matrices instead of CSR
 matvecs, a classical Jacobi rotation eigensolver instead of Lanczos,
-subset/cut enumeration instead of flow, and a full prefix re-scan instead
-of the incremental sweep.
+subset/cut enumeration instead of flow, a full prefix re-scan instead
+of the incremental sweep, per-token Python parsing instead of numpy's text
+reader, and a per-node stack peel instead of the batched first wave.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ import itertools
 import math
 
 import numpy as np
+
+from fairdsg.flow import _DROP_SLACK, _peel_lower_bound
+from fairdsg.graph import Coloring, LabeledGraph, NodeSet, induced_subgraph
+from fairdsg.ingest import IngestError
 
 
 def canonical_edges(n: int, edges):
@@ -233,3 +238,101 @@ def pareto_quadratic(points):
         if key not in dedup or p.size < dedup[key].size:
             dedup[key] = p
     return sorted(dedup.values(), key=lambda p: (-p.density, -p.balance))
+
+
+def read_edgelist_reference(text: str):
+    """(graph, coloring) of an edge-list file, parsed per token in Python:
+    ``splitlines``, ``str.split``, ``int`` for ids (which must fit in
+    int64) and ``float`` for weights. A bad file raises IngestError naming
+    the first bad line. Only the parse is independent: the graph is built
+    by ``LabeledGraph.from_arrays``."""
+    lines = text.splitlines()
+    at = 0
+    while at < len(lines) and lines[at].startswith("#"):
+        at += 1
+    if at >= len(lines):
+        raise IngestError("edge list: missing header line")
+    header = lines[at].split()
+    if len(header) != 3:
+        raise IngestError(f"edge list: header must be 'n n_red n_blue', "
+                          f"got {lines[at]!r}")
+    try:
+        n, n_red, n_blue = (int(x) for x in header)
+    except ValueError:
+        raise IngestError(f"edge list: non-integer header {lines[at]!r}") from None
+    if at + 1 >= len(lines):
+        raise IngestError("edge list: missing color line")
+    if len(lines[at + 1]) != n:
+        raise IngestError(f"edge list: color line has {len(lines[at + 1])} "
+                          f"characters, expected {n}")
+    try:
+        coloring = Coloring.from_labels(lines[at + 1])
+    except ValueError as exc:
+        raise IngestError(f"edge list: {exc}") from None
+    if (coloring.n_red, coloring.n_blue) != (n_red, n_blue):
+        raise IngestError("edge list: header color counts disagree with the "
+                          "color line")
+    u, v, w = [], [], []
+    for lineno in range(at + 3, len(lines) + 1):
+        line = lines[lineno - 1]
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 3:
+            raise IngestError(f"edge list line {lineno}: expected 'u v w', "
+                              f"got {line!r}")
+        try:
+            # np.int64 of a Python int outside int64 raises OverflowError
+            u.append(np.int64(int(tokens[0])))
+            v.append(np.int64(int(tokens[1])))
+            w.append(float(tokens[2]))
+        except (ValueError, OverflowError):
+            raise IngestError(f"edge list line {lineno}: bad edge {line!r}") from None
+    try:
+        graph = LabeledGraph.from_arrays(n, np.array(u, dtype=np.int64),
+                                         np.array(v, dtype=np.int64),
+                                         np.array(w, dtype=np.float64))
+    except ValueError as exc:
+        raise IngestError(f"edge list: {exc}") from None
+    return graph, coloring
+
+
+def stack_peel_core(g):
+    """``fairdsg.flow._densest_core`` with every node peeled off one stack.
+
+    Each round starts from the core's degrees; every node below L/2 goes on
+    the stack, and a popped node decrements its live neighbours' degrees. A
+    degree that falls below L/2 is summed afresh before its node is pushed.
+    Rounds repeat with L = rho(core) while the core is denser than L.
+    """
+    indptr = g.indptr.tolist()
+    dst = g.arc_dst.tolist()
+    wt = g.arc_w.tolist()
+    lower = _peel_lower_bound(g)
+    kept, core = np.arange(g.n), g
+    while True:
+        limit = 0.5 * lower * (1.0 - _DROP_SLACK)
+        stack = kept[core.degrees < limit].tolist()
+        alive = np.zeros(g.n, dtype=bool)
+        alive[kept] = core.degrees >= limit
+        deg = np.zeros(g.n)
+        deg[kept] = core.degrees
+        alive, deg = alive.tolist(), deg.tolist()
+        while stack:
+            v = stack.pop()
+            for a in range(indptr[v], indptr[v + 1]):
+                u = dst[a]
+                if alive[u]:
+                    deg[u] -= wt[a]
+                    if deg[u] < limit:
+                        deg[u] = sum(wt[b] for b in range(indptr[u], indptr[u + 1])
+                                     if alive[dst[b]])
+                        if deg[u] < limit:
+                            alive[u] = False
+                            stack.append(u)
+        kept = np.flatnonzero(alive)
+        core = induced_subgraph(g, NodeSet(kept))
+        rho = 2.0 * core.total_weight / core.n
+        if rho <= lower:
+            return kept, core
+        lower = rho

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairdsg.flow import (FlowNetwork, exact_densest_subgraph, max_flow,
-                          two_dfsg, two_dfsg_candidates)
+from fairdsg import flow
+from fairdsg.flow import (FlowNetwork, _densest_core, exact_densest_subgraph,
+                          max_flow, two_dfsg, two_dfsg_candidates)
 from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
                            is_fair)
 from fairdsg.oracle import OracleConstraint, brute_force_densest
@@ -12,7 +17,7 @@ from fairdsg.sweep import SolveStatus
 
 from conftest import random_coloring, random_graph
 from oracles import (brute_densest_subsets, brute_largest_densest, brute_min_cut,
-                     dense_adjacency)
+                     dense_adjacency, stack_peel_core)
 
 
 def _network(n, source, sink, arcs):
@@ -322,3 +327,62 @@ def test_two_dfsg_ends_its_candidate_trajectory():
                             balance(optimum, c))
         assert len(trail) == rec.size - optimum.size + 1
         assert trail[-1] == (rec.size, rec.density, rec.balance)
+
+
+def _clique_and_band(band: int) -> LabeledGraph:
+    """K_20 on nodes 0..19 and, apart from it, a bandwidth-5 band on the
+    next ``band`` nodes: i ~ i + k for k = 1..5."""
+    k20 = np.array([(u, v) for u in range(20) for v in range(u + 1, 20)]).T
+    i = np.arange(20, 20 + band)
+    u = np.concatenate([k20[0]] + [i[:-k] for k in range(1, 6)])
+    v = np.concatenate([k20[1]] + [i[k:] for k in range(1, 6)])
+    return LabeledGraph.from_arrays(20 + band, u, v)
+
+
+def test_densest_core_of_a_clique_beside_a_band_is_the_clique():
+    # the band's inner nodes have degree 10 >= 19/2, so only its ends leave
+    # in the first wave; the stack peels the rest from both ends
+    g = _clique_and_band(2000)
+    kept, core = _densest_core(g)
+    assert kept.tolist() == list(range(20))
+    assert kept.tolist() == stack_peel_core(g)[0].tolist()
+    assert core.num_edges == 190
+    res = exact_densest_subgraph(g)
+    assert res.node_set.as_tuple() == tuple(range(20))
+    assert res.density == 19.0 and res.iterations == 1
+
+
+@st.composite
+def peel_graphs(draw, weights):
+    """A clique, a path hanging off it and random edges, with weights from
+    ``weights``."""
+    k = draw(st.integers(0, 8))
+    tail = draw(st.integers(0, 20))
+    n = k + tail + draw(st.integers(2, 20))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    pairs += [(k - 1 + j, k + j) for j in range(tail) if k + j > 0]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=60))
+    w = draw(st.lists(weights, min_size=len(pairs), max_size=len(pairs)))
+    return LabeledGraph.from_arrays(n, *np.array(pairs).T, w)
+
+
+_EXACT_WEIGHTS = st.one_of(st.just(1.0), st.integers(1, 9).map(float),
+                           st.integers(1, 255).map(lambda k: k / 16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(peel_graphs(st.just(1.0)), peel_graphs(_EXACT_WEIGHTS)))
+def test_densest_core_keeps_the_stack_peels_ids(g):
+    # weights with exact sums: every degree is the same on both sides
+    assert _densest_core(g)[0].tolist() == stack_peel_core(g)[0].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(peel_graphs(st.floats(0.01, 1.0)))
+def test_exact_densest_with_the_stack_peel_is_unchanged(g):
+    res = exact_densest_subgraph(g)
+    with mock.patch.object(flow, "_densest_core", stack_peel_core):
+        ref = exact_densest_subgraph(g)
+    assert res.node_set == ref.node_set and res.iterations == ref.iterations
+    assert np.float64(res.density).tobytes() == np.float64(ref.density).tobytes()

@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from fairdsg.ingest import (GmlNode, IngestError, ParseError, ProductRecord,
                             build_product_graph, category_pair_subgraphs,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
                             read_edgelist, write_edgelist)
+
+from oracles import read_edgelist_reference
 
 MINIMAL_GML = """
 graph [
@@ -397,3 +400,135 @@ def test_edgelist_empty_graph_round_trip():
     write_edgelist(g, c, buf)
     g2, c2 = read_edgelist(io.StringIO(buf.getvalue()))
     assert g2.n == 0 and c2.n == 0
+
+
+HEADER_12 = "# c\n12 6 6\nRBRBRBRBRBRB\n"
+
+
+@pytest.mark.parametrize("body, edges", [
+    ("1_0 1 1.0\n", [(1, 10, 1.0)]),
+    ("0 \u0663 1.0\n", [(0, 3, 1.0)]),
+    ("+1 2 1_0\n", [(1, 2, 10.0)]),
+    ("0\xa01\u30002.5\n", [(0, 1, 2.5)]),
+    ("0 1 1.0\n2 3 1e-400\n", [(0, 1, 1.0), (2, 3, 0.0)]),
+])
+def test_edgelist_reads_literals_only_python_accepts(body, edges):
+    g, _ = read_edgelist(io.StringIO(HEADER_12 + body))
+    assert list(g.edges()) == edges
+
+
+@pytest.mark.parametrize("body, message", [
+    # numpy 1.2x reads 2.0 as an int, with only a DeprecationWarning
+    ("0 2.0 1.0\n", "edge list line 4: bad edge '0 2.0 1.0'"),
+    # numpy 2.4's integer parser, on glibc, reads U+01FE as the digit 462
+    ("0 \u01fe 1.0\n", "edge list line 4: bad edge '0 \u01fe 1.0'"),
+    ("0 1 1.0\n0 1e3 1.0\n", "edge list line 5: bad edge '0 1e3 1.0'"),
+])
+def test_edgelist_rejects_what_python_rejects(body, message):
+    with pytest.raises(IngestError) as info:
+        read_edgelist(io.StringIO(HEADER_12 + body))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "  \n\t\n\x1f\n"])
+def test_edgelist_empty_bodies_warn_nothing(body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, c = read_edgelist(io.StringIO(HEADER_12 + body))
+    assert g.num_edges == 0 and c.n == 12
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        read_edgelist(io.StringIO(HEADER_12 + body))
+    assert caught == []
+
+
+# Edge-list bodies for the differential test: mostly canonical lines, with
+# literals only Python accepts, special weights, Unicode spaces, characters
+# that `splitlines` breaks a line at, blank lines, lines of the wrong
+# length and `#` inside a line.
+def _mostly(common, rare):
+    """``common`` nine times in ten, else ``rare``."""
+    return st.integers(0, 9).flatmap(lambda k: common if k else rare)
+
+
+_ID = _mostly(st.integers(0, 11).map(str), st.sampled_from(
+    ["1_0", "+3", "\u0663", "\u01fe", "1e3", "007", "-1", "12",
+     "99999999999999999999"]))
+_WEIGHT = _mostly(
+    st.one_of(st.floats(0.0, 1e6).map(repr), st.integers(0, 9).map(str)),
+    st.sampled_from(["inf", "nan", "-0.0", "1e-400", "1_0", "-1.5", "x", "0x1"]))
+_GAP = _mostly(st.sampled_from([" ", "\t", "  "]),
+               st.sampled_from(["\xa0", "\u3000", "\x1f"]))
+_BREAK = st.sampled_from(["\x0c", "\x1c", "\x85", "\u2028", "\r"])
+
+
+@st.composite
+def edge_bodies(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 39))
+        if kind < 34:
+            tokens = [draw(_ID), draw(_ID), draw(_WEIGHT)]
+        elif kind < 36:
+            tokens = []
+        elif kind < 38:
+            tokens = [draw(_ID) for _ in range(draw(st.sampled_from([1, 2, 4])))]
+        else:
+            tokens = [draw(_ID), draw(_ID), draw(_WEIGHT), "#", "note"][
+                :draw(st.integers(3, 5))]
+            tokens[draw(st.integers(0, len(tokens) - 1))] += "#"
+        line = draw(_GAP).join(tokens)
+        if draw(st.integers(0, 19)) == 0:
+            cut = draw(st.integers(0, len(line)))
+            line = line[:cut] + draw(_BREAK) + line[cut:]
+        lines.append(draw(st.sampled_from(["", " "])) + line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_bodies())
+def test_edgelist_reader_matches_the_per_token_reference(body):
+    text = HEADER_12 + body
+    try:
+        want = read_edgelist_reference(text)
+    except IngestError as exc:
+        with pytest.raises(IngestError) as info:
+            read_edgelist(io.StringIO(text))
+        assert str(info.value) == str(exc)
+        return
+    g, c = read_edgelist(io.StringIO(text))
+    assert c == want[1]
+    for got, ref in ((g.edge_u, want[0].edge_u), (g.edge_v, want[0].edge_v),
+                     (g.edge_w, want[0].edge_w)):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def colored_graphs(draw):
+    n = draw(st.integers(0, 12))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30)) if n else []
+    weights = draw(st.lists(st.floats(0.0, 1e300), min_size=len(pairs),
+                            max_size=len(pairs)))
+    g = LabeledGraph.from_arrays(n, [p[0] for p in pairs], [p[1] for p in pairs],
+                                 weights)
+    return g, Coloring(draw(st.lists(st.sampled_from([RED, BLUE]), min_size=n,
+                                     max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_graphs(), st.lists(st.text(st.characters(
+    blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8), max_size=2))
+def test_edgelist_write_read_write_round_trip(case, comments):
+    g, c = case
+    buf = io.StringIO()
+    write_edgelist(g, c, buf, comments)
+    text = buf.getvalue()
+    g2, c2 = read_edgelist(io.StringIO(text))
+    assert c2 == c and g2.n == g.n
+    for got, ref in ((g2.edge_u, g.edge_u), (g2.edge_v, g.edge_v),
+                     (g2.edge_w, g.edge_w)):
+        assert got.tobytes() == ref.tobytes()
+    buf2 = io.StringIO()
+    write_edgelist(g2, c2, buf2, comments)
+    assert buf2.getvalue() == text
