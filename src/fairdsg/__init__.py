@@ -17,16 +17,15 @@ __version__ = "0.1.0"
 
 from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
                     color_counts, density, imbalance, induced_subgraph, is_fair)
-from .spectral import (AdjacencyOperator, ConvergenceError, EigenPair,
-                       FairnessVector, ProjectedOperator, SpectralProfile,
-                       dominant_eigenpair, fairness_vector, second_eigenvalue,
-                       spectral_profile)
+from .spectral import (ConvergenceError, EigenPair, ProjectedOperator,
+                       SpectralProfile, dominant_eigenpair, fairness_vector,
+                       second_eigenvalue, spectral_profile)
 from .sweep import (ALL_ORDERINGS, Ordering, SolutionRecord, SolveStatus,
                     SweepConfig, candidate_trace, general_sweep, paired_sweep,
                     run_algorithm)
 from .flow import (DensestResult, FlowNetwork, exact_densest_subgraph,
                    max_flow, two_dfsg)
-from .oracle import ORACLE_MAX_N, OracleConstraint, OracleResult, brute_force_densest
+from .oracle import ORACLE_MAX_N, OracleResult, brute_force_densest
 from .planted import (PlantedInstance, PlantedParams, RecoveryReport,
                       recovery_error, recovery_experiment, run_recovery)
 from .report import (ParetoPoint, SummaryRow, normalized_density, pareto_front,
@@ -37,14 +36,14 @@ __all__ = [
     "BLUE", "RED", "Coloring", "LabeledGraph", "NodeSet",
     "balance", "color_counts", "density", "imbalance", "induced_subgraph",
     "is_fair",
-    "AdjacencyOperator", "ConvergenceError", "EigenPair", "FairnessVector",
-    "ProjectedOperator", "SpectralProfile", "dominant_eigenpair",
-    "fairness_vector", "second_eigenvalue", "spectral_profile",
+    "ConvergenceError", "EigenPair", "ProjectedOperator", "SpectralProfile",
+    "dominant_eigenpair", "fairness_vector", "second_eigenvalue",
+    "spectral_profile",
     "ALL_ORDERINGS", "Ordering", "SolutionRecord", "SolveStatus", "SweepConfig",
     "candidate_trace", "general_sweep", "paired_sweep", "run_algorithm",
     "DensestResult", "FlowNetwork", "exact_densest_subgraph", "max_flow",
     "two_dfsg",
-    "ORACLE_MAX_N", "OracleConstraint", "OracleResult", "brute_force_densest",
+    "ORACLE_MAX_N", "OracleResult", "brute_force_densest",
     "PlantedInstance", "PlantedParams", "RecoveryReport", "recovery_error",
     "recovery_experiment", "run_recovery",
     "ParetoPoint", "SummaryRow", "normalized_density", "pareto_front",

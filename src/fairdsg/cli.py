@@ -23,7 +23,7 @@ from .flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
 from .ingest import (IngestError, build_product_graph, category_pair_subgraphs,
                      load_edgelist, parse_amazon_jsonl, parse_gml,
                      polbooks_graph, save_edgelist)
-from .oracle import ORACLE_MAX_N, OracleConstraint, brute_force_densest
+from .oracle import ORACLE_MAX_N, brute_force_densest
 from .planted import PlantedParams, generate, run_recovery
 from .report import (RESULT_FIELDS, ParetoPoint, RunManifest, format_float,
                      normalized_density, pareto_front, read_csv, result_row,
@@ -220,7 +220,7 @@ def _cmd_run(args) -> int:
             raise ValueError(f"oracle supports at most {ORACLE_MAX_N} nodes, "
                              f"got {g.n}")
         t0 = time.perf_counter()
-        res = brute_force_densest(g, c, OracleConstraint.fair())
+        res = brute_force_densest(g, c)
         status = SolveStatus.FOUND if res.feasible else SolveStatus.NO_FEASIBLE_PREFIX
         record = make_record("oracle", g, c, res.node_set, status,
                              time.perf_counter() - t0)

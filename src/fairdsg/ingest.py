@@ -215,7 +215,7 @@ def parse_amazon_jsonl(lines: Iterable[str]) -> tuple[list[ProductRecord], int]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # bad JSON, or nested too deep
             skipped += 1
             continue
         if not isinstance(obj, dict):

@@ -1,4 +1,5 @@
-"""Exhaustive ground-truth solvers for small instances.
+"""Exhaustive ground truth for small instances: the densest node set,
+optionally restricted to fair sets and to a size cap.
 
 Enumeration walks all non-empty subsets in Gray-code order, so each step
 toggles a single node and the internal edge weight updates incrementally.
@@ -15,51 +16,26 @@ ORACLE_MAX_N = 20
 
 
 @dataclass(frozen=True)
-class OracleConstraint:
-    kind: str  # "unconstrained" | "fair" | "at_most_k"
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("unconstrained", "fair", "at_most_k"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind == "at_most_k":
-            if self.k is None or self.k < 1:
-                raise ValueError("at_most_k needs k >= 1")
-        elif self.k is not None:
-            raise ValueError(f"{self.kind} takes no k")
-
-    @classmethod
-    def unconstrained(cls) -> "OracleConstraint":
-        return cls("unconstrained")
-
-    @classmethod
-    def fair(cls) -> "OracleConstraint":
-        return cls("fair")
-
-    @classmethod
-    def at_most_k(cls, k: int) -> "OracleConstraint":
-        return cls("at_most_k", k)
-
-
-@dataclass(frozen=True)
 class OracleResult:
     node_set: NodeSet
     density: float
     feasible: bool
 
 
-def brute_force_densest(g: LabeledGraph, c: Coloring | None,
-                        constraint: OracleConstraint) -> OracleResult:
-    """Exact maximizer of density under the constraint.
+def brute_force_densest(g: LabeledGraph, c: Coloring | None = None, *,
+                        max_size: int | None = None) -> OracleResult:
+    """Exact maximizer of density over the non-empty node sets, restricted
+    to fair sets (as many red as blue nodes) when the coloring ``c`` is given
+    and to at most ``max_size`` nodes when that is given.
 
     Ties prefer smaller sets, then the lexicographically smallest member
-    tuple. A fair constraint with no fair non-empty subset yields an empty
-    result flagged infeasible.
+    tuple. When no set qualifies, for instance under a coloring with an
+    empty class, the result is empty and flagged infeasible.
     """
     if g.n > ORACLE_MAX_N:
         raise ValueError("instance too large for oracle")
-    if constraint.kind == "fair" and c is None:
-        raise ValueError("fair constraint needs a coloring")
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be at least 1, got {max_size}")
     n = g.n
     adj = [[] for _ in range(n)]
     for u, v, w in g.edges():
@@ -96,9 +72,9 @@ def brute_force_densest(g: LabeledGraph, c: Coloring | None,
             size += 1
             if codes is not None and codes[bit] == RED:
                 red += 1
-        if constraint.kind == "fair" and 2 * red != size:
+        if codes is not None and 2 * red != size:
             continue
-        if constraint.kind == "at_most_k" and size > constraint.k:
+        if max_size is not None and size > max_size:
             continue
         dens = 2.0 * w_in / size
         if best_dens is None or dens > best_dens:

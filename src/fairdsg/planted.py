@@ -26,6 +26,9 @@ from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
 from .spectral import SpectralProfile, spectral_profile
 from .sweep import SolutionRecord, SweepConfig, general_sweep, sweep_eigenvector
 
+# planted-subgraph samples drawn before giving up on the degree window
+_MAX_RETRIES = 100
+
 
 @dataclass(frozen=True)
 class PlantedParams:
@@ -61,8 +64,6 @@ class PlantedMeasurement:
     lambda_n: float
     lam: float
     hypotheses_hold: bool
-    margin_vs_lam: float      # lambda1 - 4 lam
-    margin_vs_lambda2: float  # lambda1 - 4 lambda2
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ def _sample_regular_pairs(rng: np.random.Generator, m: int,
 
 
 def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
-                            eps: float, max_retries: int) -> np.ndarray:
+                            eps: float) -> np.ndarray:
     """Internal edges, one (u, v) row each, on working ids 0..m-1 with
     degrees in [(1-eps)d, (1+eps)d].
 
@@ -110,7 +111,7 @@ def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
     complement = d > (m - 1) / 2
     d_sample = (m - 1 - d) if complement else d
     lo, hi = (1.0 - eps) * d, (1.0 + eps) * d
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         keys = _sample_regular_pairs(rng, m, d_sample)
         if keys is None:
             continue
@@ -122,11 +123,11 @@ def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
             return edges
     raise ValueError(
         f"could not sample a ({d}, {eps})-regular planted subgraph on {m} nodes "
-        f"within {max_retries} attempts")
+        f"within {_MAX_RETRIES} attempts")
 
 
 def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
-             eig_max_iters: int = 100_000, max_retries: int = 100) -> PlantedInstance:
+             eig_max_iters: int = 100_000) -> PlantedInstance:
     """Sample an instance and measure its recovery hypotheses.
 
     Construction happens on working ids (planted nodes 0..m-1), with
@@ -135,7 +136,7 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
     """
     n, m, d = params.n, params.m, params.d
     rng = np.random.default_rng(params.seed)
-    inner = _planted_internal_edges(rng, m, d, params.eps, max_retries)
+    inner = _planted_internal_edges(rng, m, d, params.eps)
     tails, heads = [inner[:, 0]], [inner[:, 1]]
     if params.p_bg > 0.0 and n > m:
         # independent Bernoulli per non-internal pair (j >= m), sampled row
@@ -177,9 +178,7 @@ def _measurement(d_max: float, theta: float, eps_measured: float,
         d_max=d_max, theta=theta, eps_measured=eps_measured,
         lambda1=profile.lambda1, lambda2=profile.lambda2,
         lambda_n=profile.lambda_n, lam=profile.lam,
-        hypotheses_hold=bool(profile.lambda1 >= 4.0 * profile.lam),
-        margin_vs_lam=profile.lambda1 - 4.0 * profile.lam,
-        margin_vs_lambda2=profile.lambda1 - 4.0 * profile.lambda2)
+        hypotheses_hold=bool(profile.lambda1 >= 4.0 * profile.lam))
 
 
 def recovery_error(planted: NodeSet, recovered: NodeSet) -> int:
@@ -197,7 +196,6 @@ class RecoveryReport:
     chi_dist_sq: float
     chi_bound: float
     chi_ok: bool
-    alignment: float
     solution: SolutionRecord
     measured: PlantedMeasurement
 
@@ -207,9 +205,8 @@ class RecoveryReport:
 
 
 def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
-                 delta_policy: str | float = "bound", *,
-                 eig_tol: float = 1e-8, eig_max_iters: int = 100_000,
-                 seed: int | None = None) -> RecoveryReport:
+                 delta_policy: str | float = "bound", *, eig_tol: float = 1e-8,
+                 eig_max_iters: int = 100_000) -> RecoveryReport:
     """Theoretical sweep on a generated instance, with both bound checks."""
     if algorithm not in ("fss", "ss"):
         raise ValueError("recovery sweep supports 'fss' (projected) or 'ss' (raw)")
@@ -219,17 +216,15 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
         delta = 16.0 * (meas.eps_measured + meas.theta)
     else:
         delta = float(delta_policy)
-    seed = instance.params.seed if seed is None else seed
     vector = sweep_eigenvector(algorithm, g, c, SweepConfig(
-        tol=eig_tol, max_iters=eig_max_iters, seed=seed))
+        tol=eig_tol, max_iters=eig_max_iters, seed=instance.params.seed))
     solution = general_sweep(g, c, vector, delta, algorithm=algorithm)
 
     m = instance.planted_set.size
     err = recovery_error(instance.planted_set, solution.node_set)
     error_bound = 16.0 * (meas.eps_measured + meas.theta) * m
     chi = instance.planted_set.indicator(g.n)
-    align = float(chi @ vector)
-    vec = -vector if align < 0 else vector
+    vec = -vector if chi @ vector < 0 else vector
     chi_dist_sq = float(np.sum((chi - vec) ** 2))
     chi_bound = 4.0 * (meas.eps_measured + meas.theta)
     # 1e-9 of slack absorbs eigensolver rounding when the bound is exactly 0
@@ -237,16 +232,14 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
         vacuous=not meas.hypotheses_hold, delta=delta,
         error=err, error_bound=error_bound, error_ok=bool(err <= error_bound),
         chi_dist_sq=chi_dist_sq, chi_bound=chi_bound,
-        chi_ok=bool(chi_dist_sq <= chi_bound + 1e-9), alignment=abs(align),
-        solution=solution, measured=meas)
+        chi_ok=bool(chi_dist_sq <= chi_bound + 1e-9), solution=solution, measured=meas)
 
 
 def recovery_experiment(params: PlantedParams, algorithm: str = "fss",
                         delta_policy: str | float = "bound", *,
-                        eig_tol: float = 1e-8, eig_max_iters: int = 100_000,
-                        max_retries: int = 100) -> RecoveryReport:
+                        eig_tol: float = 1e-8,
+                        eig_max_iters: int = 100_000) -> RecoveryReport:
     """Generate an instance from ``params`` and run the recovery sweep on it."""
-    instance = generate(params, eig_tol=eig_tol, eig_max_iters=eig_max_iters,
-                        max_retries=max_retries)
+    instance = generate(params, eig_tol=eig_tol, eig_max_iters=eig_max_iters)
     return run_recovery(instance, algorithm, delta_policy,
                         eig_tol=eig_tol, eig_max_iters=eig_max_iters)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -117,26 +117,29 @@ class RunManifest:
     version: str
 
     def to_comment(self) -> str:
-        payload = {
-            "command": self.command, "argv": list(self.argv),
-            "inputs": list(self.inputs), "algorithm": self.algorithm,
-            "delta": self.delta, "tol": self.tol,
-            "max_iters": self.max_iters, "seed": self.seed,
-            "version": self.version,
-        }
-        return "manifest: " + json.dumps(payload, sort_keys=True)
+        return "manifest: " + json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_comment(cls, comment: str) -> "RunManifest":
+        """Inverse of :meth:`to_comment`; ValueError unless the payload is a
+        JSON object with exactly the manifest's fields and list-valued
+        ``argv`` and ``inputs``."""
         prefix = "manifest: "
         if not comment.startswith(prefix):
             raise ValueError(f"not a manifest comment: {comment!r}")
-        payload = json.loads(comment[len(prefix):])
-        return cls(command=payload["command"], argv=tuple(payload["argv"]),
-                   inputs=tuple(payload["inputs"]), algorithm=payload["algorithm"],
-                   delta=payload["delta"], tol=payload["tol"],
-                   max_iters=payload["max_iters"], seed=payload["seed"],
-                   version=payload["version"])
+        try:
+            payload = json.loads(comment[len(prefix):])
+        except RecursionError:
+            raise ValueError("manifest comment nests too deeply") from None
+        names = {f.name for f in fields(cls)}
+        if (not isinstance(payload, dict) or payload.keys() != names
+                or not isinstance(payload["argv"], list)
+                or not isinstance(payload["inputs"], list)):
+            raise ValueError(f"manifest comment is not a JSON object with the "
+                             f"fields {', '.join(sorted(names))} and list-valued "
+                             f"argv and inputs")
+        return cls(**{**payload, "argv": tuple(payload["argv"]),
+                      "inputs": tuple(payload["inputs"])})
 
 
 def result_row(record: SolutionRecord, *, instance: str, g: LabeledGraph,

@@ -4,9 +4,11 @@ The balance constraint "equally many red and blue nodes" is encoded by the
 unit vector f with entries +1/sqrt(n) on red nodes and -1/sqrt(n) on blue
 ones: a set indicator x is balanced iff f.x = 0. Projecting the adjacency
 matrix onto the kernel of f gives B = (I - ff^T) A (I - ff^T), whose top
-eigenvector drives the fair sweep algorithms. All operators here act
-matrix-free, and every eigenpair comes from one restarted Lanczos routine
-(Golub and Van Loan, Matrix Computations, ch. 10).
+eigenvector drives the fair sweep algorithms. Every eigenpair comes from
+one restarted Lanczos routine (Golub and Van Loan, Matrix Computations,
+ch. 10), which reads an operator only through ``n``, ``d_max`` (a bound on
+its spectral norm) and ``matvec(x)``: a :class:`LabeledGraph` is the
+adjacency operator A, and :class:`ProjectedOperator` is B.
 """
 
 from __future__ import annotations
@@ -28,23 +30,14 @@ class ConvergenceError(Exception):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class FairnessVector:
-    """Unit vector with +1/sqrt(n) entries on red nodes, -1/sqrt(n) on blue."""
-
-    entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.size)
-
-
-def fairness_vector(c: Coloring) -> FairnessVector:
+def fairness_vector(c: Coloring) -> np.ndarray:
+    """Read-only unit vector with +1/sqrt(n) entries on red nodes, -1/sqrt(n)
+    on blue ones."""
     if c.n < 1:
         raise ValueError("fairness vector needs at least one node")
-    entries = np.where(c.red_mask(), 1.0, -1.0) / math.sqrt(c.n)
-    entries.flags.writeable = False
-    return FairnessVector(entries)
+    f = np.where(c.red_mask(), 1.0, -1.0) / math.sqrt(c.n)
+    f.flags.writeable = False
+    return f
 
 
 @dataclass(frozen=True)
@@ -61,41 +54,33 @@ class EigenPair:
     iterations: int
 
 
-class AdjacencyOperator:
-    """Action of the adjacency matrix A."""
-
-    def __init__(self, graph: LabeledGraph):
-        self.graph = graph
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.graph.matvec(x)
-
-
 class ProjectedOperator:
-    """B = (I - ff^T) A (I - ff^T) applied without materializing any matrix.
+    """B = (I - ff^T) A (I - ff^T), f the coloring's fairness vector, applied
+    without materializing any matrix.
 
     The action is y = x - (f.x) f; z = A y; out = z - (f.z) f.
     """
 
-    def __init__(self, graph: LabeledGraph, fairness: FairnessVector):
-        if fairness.n != graph.n:
-            raise ValueError("fairness vector length does not match the graph")
+    def __init__(self, graph: LabeledGraph, coloring: Coloring):
         self.graph = graph
-        self.fairness = fairness
+        self.fairness = fairness_vector(coloring)
+        if self.fairness.size != graph.n:
+            raise ValueError("fairness vector length does not match the graph")
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def d_max(self) -> float:
+        """The graph's maximum weighted degree, which also bounds ||B||."""
+        return self.graph.d_max
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"vector of length {x.size} does not match n={self.n}")
-        f = self.fairness.entries
+        f = self.fairness
         y = x - (f @ x) * f
         z = self.graph.matvec(y)
         return z - (f @ z) * f
@@ -120,6 +105,10 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     both ends' Ritz vectors). A pair is accepted only on a fresh product,
     ||op(v) - theta v|| <= tol * max(|theta|, 1). The unit vector ``lock`` is
     removed from the start and every product; ``max_iters`` caps the matvecs.
+
+    The iteration runs on op * unit, unit = 2^-max(0, e - 500) for the binary
+    exponent e of ``op.d_max``, so the squared norms of huge weights stay
+    finite; unit is 1 below d_max = 2^500, and a power of two scales exactly.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -134,6 +123,7 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     # coincides with a vector the unlocked solve already returned
     v = np.random.default_rng([seed, 0 if lock is None else 1]).standard_normal(n)
     lock = np.zeros(n) if lock is None else lock
+    unit = 2.0 ** -max(0, math.frexp(op.d_max)[1] - 500)
     matvecs, best = 0, math.inf
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -143,7 +133,7 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
                 f"Lanczos did not converge in {max_iters} matvecs "
                 f"(best relative residual {best:.3e})", best, max_iters)
         matvecs += 1
-        y = op.apply(x)
+        y = op.matvec(x) * unit
         return y - (lock @ y) * lock
 
     ritz = [v - (lock @ v) * lock]
@@ -156,11 +146,11 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
             ax = apply(x)
             theta = float(x @ ax) + 0.0  # no -0.0 in reports
             pairs.append((theta, x, ax, float(np.linalg.norm(ax - theta * x))))
-        worst = max(r / max(abs(th), 1.0) for th, _, _, r in pairs)
+        worst = max(r / max(abs(th), unit) for th, _, _, r in pairs)
         best = min(best, worst)
         if worst <= tol:
-            return tuple(EigenPair(value=th, vector=_canonical_sign(x), residual=r,
-                                   iterations=matvecs)
+            return tuple(EigenPair(value=th / unit, vector=_canonical_sign(x),
+                                   residual=r / unit, iterations=matvecs)
                          for th, x, _, r in (pairs[0], pairs[-1]))
         # restart from the normalized sum of the Ritz vectors, product known
         v = sum(x for _, x, _, _ in pairs)
@@ -176,7 +166,7 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
             thetas, ys = np.linalg.eigh(t[:j + 1, :j + 1])
             picks = (j, 0) if bottom and j else (j,)
             if b <= 1e-12 * np.abs(thetas).max() or j + 1 == k or all(
-                    b * abs(ys[j, i]) <= tol * max(abs(thetas[i]), 1.0)
+                    b * abs(ys[j, i]) <= tol * max(abs(thetas[i]), unit)
                     for i in picks):
                 break
             basis[j + 1] = w / b
@@ -187,8 +177,8 @@ def dominant_eigenpair(op, tol: float = 1e-8, max_iters: int = 100_000,
                        seed: int = 0) -> EigenPair:
     """Largest-algebraic eigenpair of ``op``, by Lanczos.
 
-    ``op`` is any symmetric operator exposing ``n`` and ``apply(x)`` — in
-    particular :class:`AdjacencyOperator` and :class:`ProjectedOperator`.
+    ``op`` is any symmetric operator exposing ``n``, ``d_max`` and
+    ``matvec(x)``: a :class:`LabeledGraph` or a :class:`ProjectedOperator`.
     """
     return _lanczos(op, tol, max_iters, seed)[0]
 
@@ -220,9 +210,8 @@ def spectral_profile(g: LabeledGraph, tol: float = 1e-8,
     :func:`second_eigenvalue`, and lam = max(lambda2, |lambda_n|)."""
     if g.n < 2:
         raise ValueError("spectral profile needs at least two nodes")
-    op = AdjacencyOperator(g)
-    first, last = _lanczos(op, tol, max_iters, seed, bottom=True)
-    second = second_eigenvalue(op, first, tol, max_iters, seed)
+    first, last = _lanczos(g, tol, max_iters, seed, bottom=True)
+    second = second_eigenvalue(g, first, tol, max_iters, seed)
     return SpectralProfile(lambda1=first.value, lambda2=second.value,
                            lambda_n=last.value,
                            lam=max(second.value, abs(last.value)))

@@ -35,8 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import RED, Coloring, LabeledGraph, NodeSet, balance, color_counts, density
-from .spectral import (AdjacencyOperator, ProjectedOperator, dominant_eigenpair,
-                       fairness_vector)
+from .spectral import ProjectedOperator, dominant_eigenpair
 
 
 class Ordering(Enum):
@@ -212,10 +211,7 @@ def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
                       cfg: SweepConfig) -> np.ndarray:
     """Top eigenvector a sweep algorithm rounds: of the projected operator
     for fss and fps, of the raw adjacency for ss and ps."""
-    if name in ("fss", "fps"):
-        op = ProjectedOperator(g, fairness_vector(c))
-    else:
-        op = AdjacencyOperator(g)
+    op = ProjectedOperator(g, c) if name in ("fss", "fps") else g
     return dominant_eigenpair(op, tol=cfg.tol, max_iters=cfg.max_iters,
                               seed=cfg.seed).vector
 

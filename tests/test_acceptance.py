@@ -19,12 +19,12 @@ from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, density, is_fair)
 from fairdsg.ingest import (build_product_graph, category_pair_subgraphs,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
                             save_edgelist)
-from fairdsg.oracle import OracleConstraint, brute_force_densest
+from fairdsg.oracle import brute_force_densest
 from fairdsg.planted import PlantedParams, generate, run_recovery
 from fairdsg.report import normalized_density, summarize
-from fairdsg.spectral import (AdjacencyOperator, ProjectedOperator,
-                              dominant_eigenpair, fairness_vector,
-                              second_eigenvalue, spectral_profile)
+from fairdsg.spectral import (ProjectedOperator, dominant_eigenpair,
+                              fairness_vector, second_eigenvalue,
+                              spectral_profile)
 from fairdsg.sweep import (SolveStatus, SweepConfig, general_sweep,
                            paired_sweep, run_algorithm)
 from fairdsg.cli import main as cli_main
@@ -81,7 +81,7 @@ def test_criterion_2_flow_matches_oracle():
         p = float(rng.uniform(0.3, 0.7))
         g = random_graph(rng, n, p)
         flow = exact_densest_subgraph(g)
-        oracle = brute_force_densest(g, None, OracleConstraint.unconstrained())
+        oracle = brute_force_densest(g)
         worst = max(worst, abs(flow.density - oracle.density))
     elapsed = time.perf_counter() - t0
     _report("criterion 2", worst <= 1e-9 and elapsed < 60.0,
@@ -100,7 +100,7 @@ def test_criterion_3_two_dfsg_approximation():
         g = random_graph(rng, n, p)
         c = random_coloring(rng, n, balanced=True)
         rec = two_dfsg(g, c, exact_densest_subgraph(g).node_set)
-        opt = brute_force_densest(g, c, OracleConstraint.fair())
+        opt = brute_force_densest(g, c)
         all_fair = all_fair and rec.status is SolveStatus.FOUND and rec.fair \
             and is_fair(rec.node_set, c)
         assert rec.density >= 0.5 * opt.density - 1e-9
@@ -124,13 +124,13 @@ def test_criterion_4_spectral_contracts():
         c = random_coloring(rng, n)
         f = fairness_vector(c)
         spec_a = jacobi_eigenvalues(dense_adjacency(g))
-        spec_b = jacobi_eigenvalues(dense_projected(g, f.entries))
+        spec_b = jacobi_eigenvalues(dense_projected(g, f))
 
         kwargs = dict(tol=1e-8, max_iters=500_000, seed=seed)
-        top = dominant_eigenpair(AdjacencyOperator(g), **kwargs)
-        second = second_eigenvalue(AdjacencyOperator(g), top, **kwargs)
-        hat = dominant_eigenpair(ProjectedOperator(g, f), **kwargs)
-        hat2 = second_eigenvalue(ProjectedOperator(g, f), hat, **kwargs)
+        top = dominant_eigenpair(g, **kwargs)
+        second = second_eigenvalue(g, top, **kwargs)
+        hat = dominant_eigenpair(ProjectedOperator(g, c), **kwargs)
+        hat2 = second_eigenvalue(ProjectedOperator(g, c), hat, **kwargs)
         prof = spectral_profile(g, **kwargs)
 
         for got, want in ((top.value, spec_a[0]), (second.value, spec_a[1]),
@@ -141,8 +141,8 @@ def test_criterion_4_spectral_contracts():
         for pair in (top, second, hat, hat2):
             assert pair.residual <= 1e-8 * max(abs(pair.value), 1.0) + 1e-15
         if abs(hat.value) > 1e-8:
-            hvs_worst = max(hvs_worst, abs(f.entries @ hat.vector))
-            assert abs(f.entries @ hat.vector) <= 1e-6
+            hvs_worst = max(hvs_worst, abs(f @ hat.vector))
+            assert abs(f @ hat.vector) <= 1e-6
         assert hat.value <= top.value + 1e-8
     elapsed = time.perf_counter() - t0
     _report("criterion 4", worst_gap <= 1e-6 and elapsed < 120.0,
@@ -181,8 +181,7 @@ def test_criterion_5_second_eigenvalue_bound():
         if prof.lambda1 < 4.0 * prof.lam:
             continue
         qualifying += 1
-        f = fairness_vector(c)
-        op = ProjectedOperator(g, f)
+        op = ProjectedOperator(g, c)
         hat1 = dominant_eigenpair(op, seed=1)
         hat2 = second_eigenvalue(op, hat1, seed=1)
         assert hat2.value <= 0.75 * prof.lambda1 + 1e-6
@@ -258,8 +257,7 @@ def test_criterion_8_sweeps_match_exhaustive_rescan():
         g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
         c = random_coloring(rng, n)
         projected = bool(rng.integers(0, 2))
-        op = (ProjectedOperator(g, fairness_vector(c)) if projected
-              else AdjacencyOperator(g))
+        op = ProjectedOperator(g, c) if projected else g
         v = dominant_eigenpair(op, seed=seed).vector
         delta = float(rng.choice([0.0, 0.25, 1.0, float(n)]))
 

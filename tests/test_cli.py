@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdsg.cli import RUN_ALGORITHMS, main
 from fairdsg.graph import Coloring, LabeledGraph
 from fairdsg.ingest import load_edgelist, save_edgelist
-from fairdsg.report import read_csv
+from fairdsg.report import RunManifest, format_float, read_csv
+from fairdsg.sweep import SPECTRAL_ALGORITHMS, SolveStatus
 
 GML = """
 graph [
@@ -448,3 +453,112 @@ def test_fss_row_on_tied_top_eigenvalue_is_seed_independent(tmp_path):
         rows.append(row)
     assert rows[0] == rows[1] == rows[2]
     assert rows[0]["status"] == "Found" and rows[0]["sol_size"] == "4"
+
+
+@pytest.mark.parametrize("weight", ["1e160", "8e307"])
+def test_spectral_algorithms_on_huge_valid_weights(tmp_path, capsys, weight):
+    # 8e307 passes the weight contract (twice it is finite); the squared
+    # Lanczos norms of such weights overflow unless the operator is scaled
+    path = tmp_path / "huge.el"
+    path.write_text(f"2 1 1\nRB\n0 1 {weight}\n", encoding="utf-8")
+    for algorithm in SPECTRAL_ALGORITHMS:
+        code = main(["run", "--input", str(path), "--algorithm", algorithm,
+                     "--out", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert f"density={format_float(float(weight))} " in captured.out
+    assert main(["pareto", "--input", str(path),
+                 "--out", str(tmp_path / "front.csv")]) == 0
+
+
+# JSON values of every shape, for manifest payloads and amazon lines
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+_MANIFEST = json.loads(RunManifest(
+    command="run", argv=("run",), inputs=("g.el",), algorithm="fps", delta=0.0,
+    tol=1e-8, max_iters=100, seed=0, version="0.1.0").to_comment()[len("manifest: "):])
+
+
+@st.composite
+def _manifest_payloads(draw):
+    """Drawn JSON: scalars and arrays, objects missing some manifest fields,
+    and full manifests with one field replaced by an arbitrary value."""
+    kind = draw(st.sampled_from(["any", "partial", "one_wrong"]))
+    if kind == "any":
+        return draw(_JSON)
+    if kind == "partial":
+        keep = draw(st.sets(st.sampled_from(sorted(_MANIFEST))))
+        return {k: v for k, v in _MANIFEST.items() if k in keep}
+    return {**_MANIFEST, draw(st.sampled_from(sorted(_MANIFEST))): draw(_JSON)}
+
+
+_RUN_ROWS = st.lists(st.tuples(st.sampled_from(RUN_ALGORITHMS),
+                               st.floats(0.0, 1.0),
+                               st.sampled_from([s.value for s in SolveStatus])),
+                     min_size=1, max_size=4)
+
+
+def _summary_exit_code(directory: str, manifest_line: str, rows) -> int:
+    path = Path(directory) / "run.csv"
+    path.write_text(f"# {manifest_line}\nalgorithm,normalized_density,status\n"
+                    + "".join(f"{a},{format_float(nd)},{status}\n"
+                              for a, nd, status in rows), encoding="utf-8")
+    return main(["summary", "--input", str(path),
+                 "--out", str(Path(directory) / "summary.csv")])
+
+
+@pytest.mark.parametrize("payload", ["{}", "[1]", '{"command": "run"}',
+                                     "[" * 100_000],
+                         ids=["empty_object", "array", "missing_fields", "deep"])
+def test_summary_rejects_a_manifest_comment_that_is_not_a_manifest(
+        tmp_path, capsys, payload):
+    code = _summary_exit_code(str(tmp_path), f"manifest: {payload}",
+                              [("fps", 1.0, "Found")])
+    assert code == 2
+    assert "manifest comment" in capsys.readouterr().err
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_manifest_payloads(), rows=_RUN_ROWS)
+def test_summary_exits_0_or_2_on_drawn_manifest_payloads(payload, rows):
+    with tempfile.TemporaryDirectory() as directory:
+        code = _summary_exit_code(directory, f"manifest: {json.dumps(payload)}",
+                                  rows)
+    assert code in (0, 2)
+    if not isinstance(payload, dict):
+        assert code == 2
+
+
+def test_ingest_amazon_counts_a_deeply_nested_line_as_skipped(tmp_path, capsys):
+    src = tmp_path / "meta.jsonl"
+    src.write_text(JSONL + "\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    assert main(["ingest-amazon", "--input", str(src),
+                 "--out-dir", str(tmp_path / "pairs"), "--min-nodes", "2"]) == 0
+    assert "skipped_lines=2 " in capsys.readouterr().out  # garbage and nesting
+
+
+_AMAZON_LINES = st.one_of(
+    st.fixed_dictionaries(
+        {"asin": st.sampled_from(["A1", "A2", "A3", "A4"]) | st.text(max_size=3),
+         "main_cat": st.sampled_from(["Books", "Music", "Toys"]) | st.text(max_size=3)},
+        optional={"also_buy": st.lists(st.sampled_from(["A1", "A2", "A3", "A4"]),
+                                       max_size=4) | _JSON}).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.tuples(st.sampled_from(["[", '{"a": ']), st.integers(1, 100_000)).map(
+        lambda t: t[0] * t[1]),
+    st.text(max_size=20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(_AMAZON_LINES, max_size=12))
+def test_ingest_amazon_exits_0_on_drawn_json_lines(lines):
+    with tempfile.TemporaryDirectory() as directory:
+        src = Path(directory) / "meta.jsonl"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["ingest-amazon", "--input", str(src),
+                     "--out-dir", str(Path(directory) / "pairs"),
+                     "--min-nodes", "1"]) == 0

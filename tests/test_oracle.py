@@ -5,32 +5,27 @@ import pytest
 
 from fairdsg.flow import exact_densest_subgraph
 from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
-from fairdsg.oracle import ORACLE_MAX_N, OracleConstraint, brute_force_densest
+from fairdsg.oracle import ORACLE_MAX_N, brute_force_densest
 
 from conftest import random_coloring, random_graph
 from oracles import brute_densest_subsets, dense_adjacency
 
 
-def test_constraint_validation():
-    with pytest.raises(ValueError):
-        OracleConstraint("best")
-    with pytest.raises(ValueError):
-        OracleConstraint.at_most_k(0)
-    with pytest.raises(ValueError):
-        OracleConstraint("fair", k=3)
-    assert OracleConstraint.at_most_k(2).k == 2
+def test_constraint_validation(k4):
+    with pytest.raises(ValueError, match="max_size"):
+        brute_force_densest(k4, max_size=0)
+    assert brute_force_densest(k4, max_size=2).node_set.size == 2
 
 
 def test_fair_k4(k4, k4_rrbb):
-    res = brute_force_densest(k4, k4_rrbb, OracleConstraint.fair())
+    res = brute_force_densest(k4, k4_rrbb)
     assert res.feasible
     assert res.node_set.as_tuple() == (0, 1, 2, 3)
     assert res.density == 3.0
 
 
 def test_fair_triangle_rrb(triangle):
-    res = brute_force_densest(triangle, Coloring.from_labels("RRB"),
-                              OracleConstraint.fair())
+    res = brute_force_densest(triangle, Coloring.from_labels("RRB"))
     # fair sets have size 2; both cross pairs have density 1, ties go to
     # the lexicographically smallest member tuple
     assert res.node_set.as_tuple() == (0, 2)
@@ -38,8 +33,7 @@ def test_fair_triangle_rrb(triangle):
 
 
 def test_fair_infeasible_when_one_color_missing(triangle):
-    res = brute_force_densest(triangle, Coloring.from_labels("RRR"),
-                              OracleConstraint.fair())
+    res = brute_force_densest(triangle, Coloring.from_labels("RRR"))
     assert not res.feasible
     assert res.node_set.size == 0 and res.density == 0.0
 
@@ -49,7 +43,7 @@ def test_unconstrained_matches_flow_solver():
     for _ in range(25):
         n = 10
         g = random_graph(rng, n, float(rng.uniform(0.3, 0.7)))
-        res = brute_force_densest(g, None, OracleConstraint.unconstrained())
+        res = brute_force_densest(g)
         flow = exact_densest_subgraph(g)
         assert res.density == pytest.approx(flow.density, abs=1e-9)
 
@@ -63,12 +57,12 @@ def test_matches_independent_enumeration():
         a = dense_adjacency(g)
         codes = c.codes
 
-        res = brute_force_densest(g, c, OracleConstraint.unconstrained())
+        res = brute_force_densest(g)
         members, dens = brute_densest_subsets(a, lambda m: True)
         assert res.node_set.as_tuple() == members
         assert res.density == pytest.approx(dens, abs=1e-12)
 
-        res = brute_force_densest(g, c, OracleConstraint.fair())
+        res = brute_force_densest(g, c)
         members, dens = brute_densest_subsets(
             a, lambda m: 2 * int((codes[list(m)] == RED).sum()) == len(m))
         if res.feasible:
@@ -78,7 +72,7 @@ def test_matches_independent_enumeration():
             assert members == ()
 
         k = int(rng.integers(1, n + 1))
-        res = brute_force_densest(g, c, OracleConstraint.at_most_k(k))
+        res = brute_force_densest(g, max_size=k)
         members, dens = brute_densest_subsets(a, lambda m: len(m) <= k)
         assert res.node_set.as_tuple() == members
         assert res.density == pytest.approx(dens, abs=1e-12)
@@ -90,11 +84,10 @@ def test_constraint_hierarchy():
         n = int(rng.integers(2, 11))
         g = random_graph(rng, n, 0.5)
         c = random_coloring(rng, n)
-        unconstrained = brute_force_densest(g, None, OracleConstraint.unconstrained())
-        fair = brute_force_densest(g, c, OracleConstraint.fair())
+        unconstrained = brute_force_densest(g)
+        fair = brute_force_densest(g, c)
         assert unconstrained.density >= fair.density >= 0.0
-        same_as_unconstrained = brute_force_densest(
-            g, c, OracleConstraint.at_most_k(n))
+        same_as_unconstrained = brute_force_densest(g, max_size=n)
         assert same_as_unconstrained.density == unconstrained.density
         assert same_as_unconstrained.node_set == unconstrained.node_set
 
@@ -110,17 +103,12 @@ def test_reduction_shaped_instances():
         edges = list(base.edges())
         g = LabeledGraph.from_edges(n_red + k, edges)
         c = Coloring([RED] * n_red + [BLUE] * k)
-        fair = brute_force_densest(g, c, OracleConstraint.fair())
-        capped = brute_force_densest(g, c, OracleConstraint.at_most_k(2 * k))
+        fair = brute_force_densest(g, c)
+        capped = brute_force_densest(g, max_size=2 * k)
         assert fair.density <= 2.0 * capped.density + 1e-12
 
 
 def test_size_cap():
     g = LabeledGraph.from_edges(ORACLE_MAX_N + 1, [(0, 1)])
     with pytest.raises(ValueError, match="instance too large for oracle"):
-        brute_force_densest(g, None, OracleConstraint.unconstrained())
-
-
-def test_fair_requires_coloring(triangle):
-    with pytest.raises(ValueError, match="coloring"):
-        brute_force_densest(triangle, None, OracleConstraint.fair())
+        brute_force_densest(g)

@@ -6,7 +6,7 @@ import pytest
 from fairdsg.graph import NodeSet, density, is_fair
 from fairdsg.planted import (PlantedParams, generate, recovery_error,
                              recovery_experiment, run_recovery)
-from fairdsg.spectral import ProjectedOperator, dominant_eigenpair, fairness_vector
+from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
 
 
 def test_params_validation():
@@ -103,7 +103,7 @@ def test_recovery_bounds_hold_on_small_instances():
         held += 1
         assert report.error <= report.error_bound
         assert report.chi_dist_sq <= report.chi_bound + 1e-9
-        assert report.measured.margin_vs_lam >= 0.0
+        assert report.measured.hypotheses_hold
     assert held >= 4  # the parameters are chosen to hold almost always
 
 
@@ -115,8 +115,7 @@ def test_threshold_misclassification_bound():
         if not inst.measured.hypotheses_hold:
             continue
         g, c = inst.graph, inst.coloring
-        top = dominant_eigenpair(ProjectedOperator(g, fairness_vector(c)),
-                                 seed=params.seed)
+        top = dominant_eigenpair(ProjectedOperator(g, c), seed=params.seed)
         chi = inst.planted_set.indicator(g.n)
         vec = -top.vector if chi @ top.vector < 0 else top.vector
         m = inst.planted_set.size

@@ -5,8 +5,7 @@ import pytest
 
 from fairdsg.graph import Coloring, LabeledGraph, density
 from fairdsg.planted import PlantedParams, generate
-from fairdsg.spectral import (AdjacencyOperator, ProjectedOperator,
-                              dominant_eigenpair, fairness_vector)
+from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
 from fairdsg.sweep import (ALL_ORDERINGS, Ordering, SolveStatus, SweepConfig,
                            candidate_trace, general_sweep, ordering_permutation,
                            paired_sweep, run_algorithm)
@@ -16,10 +15,7 @@ from oracles import pair_rescan, subset_density, sweep_rescan, dense_adjacency
 
 
 def _eigvec(g, c, projected):
-    if projected:
-        op = ProjectedOperator(g, fairness_vector(c))
-    else:
-        op = AdjacencyOperator(g)
+    op = ProjectedOperator(g, c) if projected else g
     return dominant_eigenpair(op, seed=1).vector
 
 
