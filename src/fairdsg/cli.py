@@ -20,9 +20,9 @@ import time
 
 from . import __version__
 from .flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
-from .ingest import (IngestError, build_product_graph, category_pair_subgraphs,
-                     load_edgelist, parse_amazon_jsonl, parse_gml,
-                     polbooks_graph, save_edgelist)
+from .ingest import (LINE_BREAK, IngestError, build_product_graph,
+                     category_pair_subgraphs, load_edgelist, parse_amazon_jsonl,
+                     parse_gml, polbooks_graph, save_edgelist)
 from .oracle import ORACLE_MAX_N, brute_force_densest
 from .planted import PlantedParams, generate, run_recovery
 from .report import (RESULT_FIELDS, ParetoPoint, RunManifest, format_float,
@@ -180,7 +180,8 @@ def _cmd_ingest_amazon(args) -> int:
             used[slug] = 0
         path = os.path.join(args.out_dir, f"{slug}.el")
         save_edgelist(pair.graph, pair.coloring, path,
-                      comments=[manifest.to_comment(), f"pair: {pair.name}"])
+                      comments=[manifest.to_comment(),
+                                "pair: " + LINE_BREAK.sub(" ", pair.name)])
         index_rows.append({
             "pair": pair.name, "red_category": pair.red_category,
             "blue_category": pair.blue_category, "file": f"{slug}.el",

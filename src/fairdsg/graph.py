@@ -156,16 +156,21 @@ class LabeledGraph:
         self.edge_w = edge_w
         for a in (edge_u, edge_v, edge_w):
             a.flags.writeable = False
-        src = np.concatenate([edge_u, edge_v])
-        dst = np.concatenate([edge_v, edge_u])
-        w2 = np.concatenate([edge_w, edge_w])
-        order = np.argsort(src * self.n + dst, kind="stable")
-        self.arc_src = src[order]
-        self.arc_dst = dst[order]
-        self.arc_w = w2[order]
+        # canonical edges: node x's arcs are its reverse arcs (by edge_u),
+        # then its forward arcs; only the reverse ones need a (distinct-key) sort
+        n_rev = np.bincount(edge_v, minlength=self.n)
+        n_fwd = np.bincount(edge_u, minlength=self.n)
+        by_v = np.argsort(edge_v * self.n + edge_u)
+        k = np.arange(edge_u.size)
+        order = np.empty(2 * edge_u.size, dtype=np.intp)
+        order[k + np.cumsum(n_rev)[edge_u]] = k
+        order[k + (np.cumsum(n_fwd) - n_fwd)[edge_v[by_v]]] = edge_u.size + by_v
+        self.arc_src = np.concatenate([edge_u, edge_v])[order]
+        self.arc_dst = np.concatenate([edge_v, edge_u])[order]
+        self.arc_w = np.concatenate([edge_w, edge_w])[order]
         for a in (self.arc_src, self.arc_dst, self.arc_w):
             a.flags.writeable = False
-        self.indptr = np.searchsorted(self.arc_src, np.arange(self.n + 1))
+        self.indptr = np.concatenate([[0], np.cumsum(n_rev + n_fwd)])
         self.indptr.flags.writeable = False
         # bincount of no arcs is int64 (also with weights), hence the cast
         self.degrees = np.bincount(self.arc_src, weights=self.arc_w,

@@ -328,6 +328,9 @@ def write_edgelist(g: LabeledGraph, c: Coloring, out: IO[str],
     """Serialize canonically; optional comment lines go first."""
     if c.n != g.n:
         raise ValueError("coloring length must equal the node count")
+    comments = list(comments)
+    if any(map(LINE_BREAK.search, comments)):
+        raise ValueError("an edge-list comment cannot hold a line break")
     for text in comments:
         out.write(f"# {text}\n")
     out.write(f"{g.n} {c.n_red} {c.n_blue}\n")
@@ -382,6 +385,8 @@ def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
     return graph, coloring
 
 
+# the line boundaries of str.splitlines, on which read_edgelist splits
+LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 _INT64 = np.iinfo(np.int64)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
-from .spectral import SpectralProfile, spectral_profile
+from .spectral import spectral_profile
 from .sweep import SolutionRecord, SweepConfig, general_sweep, sweep_eigenvector
 
 # planted-subgraph samples drawn before giving up on the degree window
@@ -126,6 +126,26 @@ def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
         f"within {_MAX_RETRIES} attempts")
 
 
+def _background_pairs(rng: np.random.Generator, n: int, m: int,
+                      p: float) -> np.ndarray:
+    """Sorted (i, j) rows of the pairs i < j, m <= j < n, each kept with
+    probability p in (0, 1], by geometric gaps over the pairs numbered row by
+    row (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005): O(n + E)."""
+    first = np.maximum(np.arange(1, n), m)  # row i holds j = first[i]..n-1
+    offsets = np.concatenate([[0], np.cumsum(n - first)])
+    total = int(offsets[-1])
+    block = int(1.1 * total * p) + 64
+    hits, last = [], -1
+    while last < total:
+        # a gap of INT64_MAX (tiny p) would wrap the integer cumsum
+        idx = last + np.cumsum(np.minimum(rng.geometric(p, block), total + 1))
+        hits.append(idx[idx < total])
+        last = int(idx[-1])
+    idx = np.concatenate(hits)
+    i = np.searchsorted(offsets, idx, side="right") - 1
+    return np.column_stack([i, first[i] + (idx - offsets[i])])
+
+
 def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
              eig_max_iters: int = 100_000) -> PlantedInstance:
     """Sample an instance and measure its recovery hypotheses.
@@ -137,15 +157,10 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
     n, m, d = params.n, params.m, params.d
     rng = np.random.default_rng(params.seed)
     inner = _planted_internal_edges(rng, m, d, params.eps)
-    tails, heads = [inner[:, 0]], [inner[:, 1]]
+    edges = inner
     if params.p_bg > 0.0 and n > m:
-        # independent Bernoulli per non-internal pair (j >= m), sampled row
-        # by row in pair order to keep memory linear in n
-        for i in range(n - 1):
-            js = np.arange(max(i + 1, m), n)  # never empty, as m < n
-            hits = js[rng.random(js.size) < params.p_bg]
-            tails.append(np.full(hits.size, i))
-            heads.append(hits)
+        # Bernoulli(p_bg) per non-internal pair, by geometric skipping: O(n + E)
+        edges = np.concatenate([inner, _background_pairs(rng, n, m, params.p_bg)])
 
     perm = rng.permutation(n)
     colors = np.empty(n, dtype=np.int8)
@@ -157,9 +172,7 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
     colors[background_final[0::2]] = RED
     colors[background_final[1::2]] = BLUE
 
-    graph = LabeledGraph.from_arrays(
-        n, perm[np.concatenate(tails)], perm[np.concatenate(heads)])
-    del tails, heads  # one array per row; free them before the eigensolves
+    graph = LabeledGraph.from_arrays(n, *perm[edges].T)
     coloring = Coloring(colors)
     planted_set = NodeSet(perm[:m])
 
@@ -168,17 +181,12 @@ def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
     theta = max(0.0, 1.0 - d / graph.d_max) if graph.d_max > 0 else 0.0
     profile = spectral_profile(graph, tol=eig_tol, max_iters=eig_max_iters,
                                seed=params.seed)
-    measured = _measurement(graph.d_max, theta, eps_measured, profile)
-    return PlantedInstance(params, graph, coloring, planted_set, measured)
-
-
-def _measurement(d_max: float, theta: float, eps_measured: float,
-                 profile: SpectralProfile) -> PlantedMeasurement:
-    return PlantedMeasurement(
-        d_max=d_max, theta=theta, eps_measured=eps_measured,
+    measured = PlantedMeasurement(
+        d_max=graph.d_max, theta=theta, eps_measured=eps_measured,
         lambda1=profile.lambda1, lambda2=profile.lambda2,
         lambda_n=profile.lambda_n, lam=profile.lam,
         hypotheses_hold=bool(profile.lambda1 >= 4.0 * profile.lam))
+    return PlantedInstance(params, graph, coloring, planted_set, measured)
 
 
 def recovery_error(planted: NodeSet, recovered: NodeSet) -> int:

@@ -179,12 +179,17 @@ def write_csv(out: IO[str], fieldnames: list[str],
 def read_csv(source: IO[str]) -> tuple[RunManifest | None, list[dict[str, str]]]:
     manifest = None
     lines = []
-    for line in source:
+    for number, line in enumerate(source, 1):
         if line.startswith("#"):
             comment = line[1:].strip()
             if comment.startswith("manifest: "):
                 manifest = RunManifest.from_comment(comment)
             continue
-        lines.append(line)
-    rows = list(csv.DictReader(lines))
+        lines.append((number, line))
+    reader = csv.DictReader(line for _, line in lines)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        line = lines[reader.reader.line_num - 1][0]
+        raise ValueError(f"CSV line {line}: {exc}") from None
     return manifest, rows

@@ -5,7 +5,8 @@ dict loop instead of array canonicalization, dense matrices instead of CSR
 matvecs, a classical Jacobi rotation eigensolver instead of Lanczos,
 subset/cut enumeration instead of flow, a full prefix re-scan instead
 of the incremental sweep, per-token Python parsing instead of numpy's text
-reader, and a per-node stack peel instead of the batched first wave.
+reader, a per-node stack peel instead of the batched first wave, and one
+argsort of every arc instead of the reverse-arc merge.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def canonical_edges(n: int, edges):
     keys = sorted(acc)
     return ([k[0] for k in keys], [k[1] for k in keys], [acc[k] for k in keys],
             self_loops, duplicates)
+
+
+def argsort_arcs(g):
+    """(arc_src, arc_dst, arc_w, indptr, degrees) of ``g``'s canonical edges,
+    built by one stable argsort of both orientations by src * n + dst."""
+    src = np.concatenate([g.edge_u, g.edge_v])
+    dst = np.concatenate([g.edge_v, g.edge_u])
+    order = np.argsort(src * g.n + dst, kind="stable")
+    arc_src, arc_dst = src[order], dst[order]
+    arc_w = np.concatenate([g.edge_w, g.edge_w])[order]
+    indptr = np.searchsorted(arc_src, np.arange(g.n + 1))
+    degrees = np.bincount(arc_src, weights=arc_w, minlength=g.n).astype(np.float64)
+    return arc_src, arc_dst, arc_w, indptr, degrees
 
 
 def dense_adjacency(g) -> np.ndarray:

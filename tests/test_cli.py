@@ -233,6 +233,22 @@ def test_ingest_amazon_command(tmp_path):
     assert c.n_red == int(row["n_red"])
 
 
+def test_ingest_amazon_pair_files_with_line_breaks_in_categories_run(tmp_path):
+    src = tmp_path / "meta.jsonl"
+    src.write_text(JSONL.replace('"Books"', '"Bo\\noks"')
+                   .replace('"Music"', '"Mu\\u2028sic"'), encoding="utf-8")
+    out_dir = tmp_path / "pairs"
+    assert main(["ingest-amazon", "--input", str(src), "--out-dir", str(out_dir),
+                 "--min-nodes", "2"]) == 0
+    _, index = _rows(str(out_dir / "index.csv"))
+    assert [row["pair"] for row in index] == ["Bo\noks__Mu\u2028sic"]
+    for row in index:
+        path = str(out_dir / row["file"])
+        assert "# pair: Bo oks__Mu sic\n" in Path(path).read_text(encoding="utf-8")
+        assert main(["run", "--input", path, "--algorithm", "fps",
+                     "--out", str(tmp_path / "run.csv")]) == 0
+
+
 def test_planted_command_and_jobs_equivalence(tmp_path):
     out1 = tmp_path / "p1.csv"
     base = ["planted", "--n", "60", "--m", "10", "--d", "9", "--eps", "0",
@@ -377,6 +393,16 @@ def test_summary_rejects_non_run_csv(tmp_path, capsys):
     assert main(["summary", "--input", str(bogus),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert "not a run CSV" in capsys.readouterr().err
+
+
+def test_summary_rejects_a_field_over_the_csv_limit(tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    path.write_text("# a comment\nalgorithm,normalized_density,status\n"
+                    "fps,1.0,Found\n" + "x" * 131_073 + ",1.0,Found\n",
+                    encoding="utf-8")
+    assert main(["summary", "--input", str(path),
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "CSV line 4: field larger than field limit" in capsys.readouterr().err
 
 
 # Degenerate inputs as edge-list text: (color line, edge lines). Parallel

@@ -10,7 +10,7 @@ from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance,
                            is_fair)
 
 from conftest import random_graph
-from oracles import canonical_edges
+from oracles import argsort_arcs, canonical_edges
 
 
 def test_triangle_density_all_nodes(triangle):
@@ -159,6 +159,34 @@ def test_canonicalization_matches_the_dict_reference(case):
                                  cols[:, 1].astype(np.int64), cols[:, 2])
     _assert_matches_reference(g, n, edges)
     _assert_matches_reference(LabeledGraph.from_edges(n, edges), n, edges)
+
+
+def _assert_arcs_match_the_argsort_build(g):
+    got = (g.arc_src, g.arc_dst, g.arc_w, g.indptr, g.degrees)
+    for a, b in zip(got, argsort_arcs(g)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs(), st.randoms(use_true_random=False))
+def test_arc_arrays_match_the_argsort_build(case, pyrandom):
+    # weighted, with merged parallel edges, isolated nodes, and n = 0 and 1;
+    # an induced subgraph takes the other constructor path
+    n, edges = case
+    g = LabeledGraph.from_edges(n, edges)
+    sub = induced_subgraph(g, NodeSet(pyrandom.sample(range(n), pyrandom.randint(0, n))))
+    for h in (g, sub):
+        _assert_arcs_match_the_argsort_build(h)
+
+
+def test_arc_arrays_match_the_argsort_build_on_larger_graphs():
+    # long runs of equal edge_v, where an unstable sort could reorder arcs
+    rng = np.random.default_rng(8)
+    for n, p in ((120, 0.3), (400, 0.02)):
+        g = random_graph(rng, n, p, weighted=True)
+        _assert_arcs_match_the_argsort_build(g)
+        sub = induced_subgraph(g, NodeSet(range(0, n, 3)))
+        _assert_arcs_match_the_argsort_build(sub)
 
 
 @settings(max_examples=200, deadline=None)

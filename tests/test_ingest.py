@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from fairdsg.cli import main
 from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
-from fairdsg.ingest import (GmlNode, IngestError, ParseError, ProductRecord,
-                            build_product_graph, category_pair_subgraphs,
+from fairdsg.ingest import (LINE_BREAK, GmlNode, IngestError, ParseError,
+                            ProductRecord, build_product_graph, category_pair_subgraphs,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
                             read_edgelist, write_edgelist)
 
@@ -532,3 +532,20 @@ def test_edgelist_write_read_write_round_trip(case, comments):
     buf2 = io.StringIO()
     write_edgelist(g2, c2, buf2, comments)
     assert buf2.getvalue() == text
+
+
+def test_line_break_pattern_matches_the_splitlines_boundaries():
+    every = "".join(map(chr, range(0x110000)))
+    pieces = every.splitlines(keepends=True)
+    assert {piece[-1] for piece in pieces[:-1]} == set(LINE_BREAK.findall(every))
+    assert LINE_BREAK.findall("a\r\nb") == ["\r\n"]
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c",
+                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_write_edgelist_rejects_a_comment_with_a_line_break(brk):
+    g = LabeledGraph.from_edges(2, [(0, 1)])
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="line break"):
+        write_edgelist(g, Coloring.from_labels("RB"), buf, ["fine", f"a{brk}b"])
+    assert buf.getvalue() == ""

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fairdsg.graph import NodeSet, density, is_fair
-from fairdsg.planted import (PlantedParams, generate, recovery_error,
-                             recovery_experiment, run_recovery)
+from fairdsg.planted import (PlantedParams, _background_pairs, generate,
+                             recovery_error, recovery_experiment, run_recovery)
 from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
 
 
@@ -140,3 +142,73 @@ def test_recovery_rejects_unknown_algorithm():
     inst = generate(params)
     with pytest.raises(ValueError):
         run_recovery(inst, algorithm="fps")
+
+
+def _candidate_pairs(n, m):
+    """Every pair the background may hold, numbered row by row."""
+    return [(i, j) for i in range(n) for j in range(max(i + 1, m), n)]
+
+
+def test_background_pairs_support():
+    rng = np.random.default_rng(0)
+    for seed in range(200):
+        n = int(rng.integers(3, 40))
+        m = int(rng.integers(1, n))
+        p = float(rng.choice([rng.uniform(0.01, 1.0), 1e-3, 1.0]))
+        i, j = _background_pairs(np.random.default_rng(seed), n, m, p).T
+        pairs = list(zip(i.tolist(), j.tolist()))
+        assert i.dtype == j.dtype == np.int64
+        assert pairs == sorted(set(pairs))  # sorted, no duplicates
+        assert all(0 <= a < b < n and b >= m for a, b in pairs)
+
+
+def test_background_pairs_at_p_one_are_every_candidate():
+    i, j = _background_pairs(np.random.default_rng(3), 12, 4, 1.0).T
+    assert list(zip(i.tolist(), j.tolist())) == _candidate_pairs(12, 4)
+    assert i.size == 60
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300])
+def test_background_pairs_at_tiny_p_are_empty_without_wrapping(p):
+    # numpy draws INT64_MAX gaps here; unclipped, their cumsum wraps negative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(5):
+            pairs = _background_pairs(np.random.default_rng(seed), 3000, 40, p)
+            assert pairs.shape == (0, 2)
+
+
+class _ShortDraws:
+    """A generator whose geometric draws stop after three values per call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def geometric(self, p, size):
+        return self.rng.geometric(p, min(size, 3))
+
+
+def test_background_pairs_continue_across_blocks():
+    # numpy's geometric stream does not depend on the block size, so short
+    # blocks must reproduce the one-block draw exactly
+    for seed in range(20):
+        for n, m, p in ((30, 5, 0.3), (60, 2, 0.05), (12, 4, 1.0)):
+            want = _background_pairs(np.random.default_rng(seed), n, m, p)
+            got = _background_pairs(_ShortDraws(seed), n, m, p)
+            assert np.array_equal(got, want)
+
+
+def test_background_pair_frequencies_are_independent_bernoulli():
+    n, m, p, runs = 10, 2, 0.3, 4000
+    index = {pair: k for k, pair in enumerate(_candidate_pairs(n, m))}
+    hits = np.zeros((runs, len(index)), dtype=bool)
+    for seed in range(runs):
+        i, j = _background_pairs(np.random.default_rng(seed), n, m, p).T
+        hits[seed, [index[pair] for pair in zip(i.tolist(), j.tolist())]] = True
+
+    def within_5_sigma(counts, q):
+        return np.all(np.abs(counts - runs * q) <= 5 * np.sqrt(runs * q * (1 - q)))
+
+    assert within_5_sigma(hits.sum(axis=0), p)
+    # adjacent index pairs, including across rows: joint rate p^2
+    assert within_5_sigma((hits[:, 1:] & hits[:, :-1]).sum(axis=0), p * p)

@@ -209,9 +209,9 @@ def test_tied_top_eigenvalue_on_two_disjoint_k4s():
 
 
 def test_spectral_profile_on_planted_instance_with_close_gaps():
-    # close gaps at both ends: 0.21 below lambda_2, 0.007 above lambda_n
+    # close gaps at both ends: 0.046 below lambda_2, 0.0053 above lambda_n
     inst = generate(PlantedParams(n=2000, m=200, d=64, eps=0.05, p_bg=0.001,
-                                  seed=4000))
+                                  seed=14997))
     want = np.linalg.eigvalsh(dense_adjacency(inst.graph))
     meas = inst.measured
     assert meas.lambda1 == pytest.approx(want[-1], abs=1e-6)
