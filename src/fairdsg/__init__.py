@@ -28,8 +28,7 @@ from .flow import (DensestResult, FlowNetwork, exact_densest_subgraph,
 from .oracle import ORACLE_MAX_N, OracleResult, brute_force_densest
 from .planted import (PlantedInstance, PlantedParams, RecoveryReport,
                       recovery_error, recovery_experiment, run_recovery)
-from .report import (ParetoPoint, SummaryRow, normalized_density, pareto_front,
-                     summarize)
+from .report import SummaryRow, normalized_density, pareto_front, summarize
 
 __all__ = [
     "__version__",
@@ -46,6 +45,5 @@ __all__ = [
     "ORACLE_MAX_N", "OracleResult", "brute_force_densest",
     "PlantedInstance", "PlantedParams", "RecoveryReport", "recovery_error",
     "recovery_experiment", "run_recovery",
-    "ParetoPoint", "SummaryRow", "normalized_density", "pareto_front",
-    "summarize",
+    "SummaryRow", "normalized_density", "pareto_front", "summarize",
 ]

@@ -25,7 +25,7 @@ from .ingest import (LINE_BREAK, IngestError, build_product_graph,
                      parse_gml, polbooks_graph, save_edgelist)
 from .oracle import ORACLE_MAX_N, brute_force_densest
 from .planted import PlantedParams, generate, run_recovery
-from .report import (RESULT_FIELDS, ParetoPoint, RunManifest, format_float,
+from .report import (RESULT_FIELDS, RunManifest, format_float,
                      normalized_density, pareto_front, read_csv, result_row,
                      summarize, write_csv)
 from .spectral import ConvergenceError
@@ -351,15 +351,15 @@ def _cmd_pareto(args) -> int:
     rows = []
     for name in algorithms:
         if name == "2dfsg":
-            trace = two_dfsg_candidates(g, c, optimum)
+            size, dens, bal = two_dfsg_candidates(g, c, optimum)
         else:
             cfg = SweepConfig(tol=args.tol, max_iters=args.max_iters, seed=seed)
-            trace = candidate_trace(name, g, c, cfg)
-        points = [ParetoPoint(density=d, balance=b, size=s, algorithm=name)
-                  for s, d, b in trace]
-        for p in pareto_front(points):
-            rows.append({"algorithm": name, "density": format_float(p.density),
-                         "balance": format_float(p.balance), "size": str(p.size)})
+            size, dens, bal = candidate_trace(name, g, c, cfg)
+        front = pareto_front(dens, bal, size)
+        for s, d, b in zip(size[front].tolist(), dens[front].tolist(),
+                           bal[front].tolist()):
+            rows.append({"algorithm": name, "density": format_float(d),
+                         "balance": format_float(b), "size": str(s)})
     manifest = _manifest(args, "pareto", [args.input], seed=seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, ["algorithm", "density", "balance", "size"], rows, manifest)
@@ -370,17 +370,20 @@ def _cmd_pareto(args) -> int:
 def _cmd_summary(args) -> int:
     entries = []
     for path in args.input:
-        with open(path, encoding="utf-8") as handle:
-            _, rows = read_csv(handle)
-        for row in rows:
-            algorithm = row.get("algorithm")
-            nd = row.get("normalized_density")
-            status = row.get("status")
-            if not algorithm or nd is None or status is None:
-                raise ValueError(f"{path}: not a run CSV (needs algorithm, "
-                                 f"normalized_density and status columns)")
-            entries.append((algorithm, float(nd),
-                            status != SolveStatus.FOUND.value))
+        try:  # every data error names its file
+            with open(path, encoding="utf-8") as handle:
+                _, rows = read_csv(handle)
+            for row in rows:
+                algorithm = row.get("algorithm")
+                nd = row.get("normalized_density")
+                status = row.get("status")
+                if not algorithm or nd is None or status is None:
+                    raise ValueError("not a run CSV (needs algorithm, "
+                                     "normalized_density and status columns)")
+                entries.append((algorithm, float(nd),
+                                status != SolveStatus.FOUND.value))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not entries:
         raise ValueError("no result rows found in the input files")
     manifest = _manifest(args, "summary", list(args.input))

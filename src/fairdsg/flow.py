@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
-                    color_counts, density, induced_subgraph, is_fair)
-from .sweep import SolutionRecord, SolveStatus, make_record
+from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, color_counts,
+                    density, induced_subgraph, is_fair)
+from .sweep import SolutionRecord, SolveStatus, _prefix_sums, make_record
 
 
 def _interleave(a, b) -> np.ndarray:
@@ -313,13 +313,16 @@ def two_dfsg(g: LabeledGraph, c: Coloring, optimum: NodeSet) -> SolutionRecord:
     return make_record("2dfsg", g, c, s, status, time.perf_counter() - t0)
 
 
-def two_dfsg_candidates(g: LabeledGraph, c: Coloring,
-                        optimum: NodeSet) -> list[tuple[int, float, float]]:
-    """(size, density, balance) after each padding step of ``two_dfsg``,
-    starting from ``optimum`` itself, for Pareto plots."""
+def two_dfsg_candidates(g: LabeledGraph, c: Coloring, optimum: NodeSet
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(size, density, balance) arrays after each padding step of
+    ``two_dfsg``, starting from ``optimum`` itself, for Pareto plots: the
+    sweeps' prefix sums, where the k-th pick joins at step k."""
+    if optimum.size == 0:
+        raise ValueError("empty-set density undefined")
     picks = _padding(g, c, optimum)
-    out = []
-    for k in range(len(picks) + 1):
-        s = NodeSet([*optimum, *picks[:k]])
-        out.append((s.size, density(g, s), balance(s, c)))
-    return out
+    step = np.full(g.n, len(picks) + 1)
+    step[optimum.members] = 0
+    step[picks] = np.arange(1, len(picks) + 1)
+    size, w, red = _prefix_sums(g, c, step, len(picks) + 1)
+    return size, 2.0 * w / size, np.minimum(red, size - red) / np.maximum(red, size - red)

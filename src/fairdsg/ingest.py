@@ -323,15 +323,20 @@ def category_pair_subgraphs(graph: LabeledGraph, categories: list[str],
 # Edge-list interchange format
 # ---------------------------------------------------------------------------
 
-def write_edgelist(g: LabeledGraph, c: Coloring, out: IO[str],
-                   comments: Iterable[str] = ()) -> None:
-    """Serialize canonically; optional comment lines go first."""
+def _checked_comments(g: LabeledGraph, c: Coloring, comments: Iterable[str]) -> list[str]:
+    """``comments`` as a list, once they and the coloring are valid."""
     if c.n != g.n:
         raise ValueError("coloring length must equal the node count")
     comments = list(comments)
     if any(map(LINE_BREAK.search, comments)):
         raise ValueError("an edge-list comment cannot hold a line break")
-    for text in comments:
+    return comments
+
+
+def write_edgelist(g: LabeledGraph, c: Coloring, out: IO[str],
+                   comments: Iterable[str] = ()) -> None:
+    """Serialize canonically; optional comment lines go first."""
+    for text in _checked_comments(g, c, comments):
         out.write(f"# {text}\n")
     out.write(f"{g.n} {c.n_red} {c.n_blue}\n")
     out.write(c.labels() + "\n")
@@ -436,5 +441,7 @@ def load_edgelist(path: str) -> tuple[LabeledGraph, Coloring]:
 
 def save_edgelist(g: LabeledGraph, c: Coloring, path: str,
                   comments: Iterable[str] = ()) -> None:
+    """:func:`write_edgelist` to ``path``; a rejected call leaves it untouched."""
+    comments = _checked_comments(g, c, comments)
     with open(path, "w", encoding="utf-8") as handle:
         write_edgelist(g, c, handle, comments)

@@ -28,37 +28,22 @@ def format_float(x: float) -> str:
     return f"{x:.9g}"
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    density: float
-    balance: float
-    size: int
-    algorithm: str = ""
-
-    def __post_init__(self):
-        if self.density < 0:
-            raise ValueError("density must be non-negative")
-        if not 0.0 <= self.balance <= 1.0:
-            raise ValueError("balance must lie in [0, 1]")
-
-
-def pareto_front(points: Iterable[ParetoPoint]) -> list[ParetoPoint]:
-    """Maximal points under (density, balance) dominance, density-descending.
+def pareto_front(density: np.ndarray, balance: np.ndarray,
+                 size: np.ndarray) -> np.ndarray:
+    """Indices of the maximal points under (density, balance) dominance,
+    density-descending.
 
     p dominates q when p is at least as good in both coordinates and
-    strictly better in one. Duplicate (density, balance) pairs keep the
-    smallest size.
+    strictly better in one. Ranked by density, then balance, descending,
+    a point is maximal iff its balance beats every earlier one; so of equal
+    (density, balance) pairs only the first, the smallest size, is kept.
     """
-    ranked = sorted(points, key=lambda p: (-p.density, -p.balance, p.size))
-    front: list[ParetoPoint] = []
-    best_balance = -1.0
-    for p in ranked:
-        if front and p.density == front[-1].density and p.balance == front[-1].balance:
-            continue
-        if p.balance > best_balance:
-            front.append(p)
-            best_balance = p.balance
-    return front
+    balance = np.asarray(balance)
+    order = np.lexsort((size, -balance, -np.asarray(density)))
+    ranked = balance[order]
+    beats = np.ones(ranked.size, dtype=bool)
+    beats[1:] = ranked[1:] > np.maximum.accumulate(ranked)[:-1]
+    return order[beats]
 
 
 def normalized_density(record: SolutionRecord, optimum: float) -> float:

@@ -13,9 +13,10 @@ which each node joins the prefix:
 
 An edge joins at the later of its endpoints' steps, so the prefix weights of
 one ordering are a ``bincount`` of the edges' join steps and a ``cumsum``;
-red counts come the same way. The general sweep keeps the densest prefix
-whose red/blue imbalance stays within delta * |S|; the paired sweep's
-prefixes are balanced by construction.
+sizes and red counts come the same way. The same kernel, ``_prefix_sums``,
+sums the 2dfsg padding trajectory (``flow.two_dfsg_candidates``). The
+general sweep keeps the densest prefix whose red/blue imbalance stays within
+delta * |S|; the paired sweep's prefixes are balanced by construction.
 
 Four named algorithms combine a sweep with an eigenvector source:
 
@@ -124,23 +125,30 @@ def ordering_permutation(v: np.ndarray, ordering: Ordering) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
+def _prefix_sums(g: LabeledGraph, c: Coloring, step: np.ndarray, n_steps: int):
+    """(size, weight, red) of prefixes 0 .. n_steps - 1, where node i joins at
+    ``step[i]`` and never when that is ``>= n_steps``."""
+    join = np.maximum(step[g.edge_u], step[g.edge_v])
+    joins = ((step, None), (join, g.edge_w), (step[c.codes == RED], None))
+    return tuple(np.bincount(at, weights=w, minlength=n_steps)[:n_steps].cumsum()
+                 for at, w in joins)
+
+
 def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
           orderings: Sequence[Ordering], paired: bool):
     """Every prefix of every ordering, shared by the sweeps and their trace.
 
-    Returns (steps, size, dens, red). ``steps[o, i]`` is the step at which
-    node i joins ordering o's prefix; a node whose step is past the last
-    never joins. ``size[s]`` is the size of prefix s, the nodes with
-    step <= s, and ``dens[o, s]`` and ``red[o, s]`` are its density and red
-    count.
+    Returns (steps, size, dens, red): ``steps[o]`` is ordering o's step
+    array, and ``size[o, s]``, ``dens[o, s]`` and ``red[o, s]`` are the size,
+    density and red count of its prefix s, the nodes with step <= s.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"eigenvector of length {v.size} does not match n={g.n}")
     is_red = c.codes == RED
     n_steps = min(c.n_red, c.n_blue) if paired else g.n
-    size = np.arange(1, n_steps + 1) * (2 if paired else 1)
     steps = np.empty((len(orderings), g.n), dtype=np.int64)
+    size = np.empty((len(orderings), n_steps), dtype=np.int64)
     w = np.empty((len(orderings), n_steps))
     red = np.empty((len(orderings), n_steps), dtype=np.int64)
     for oi, ordering in enumerate(orderings):
@@ -150,10 +158,7 @@ def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
             steps[oi, perm] = np.where(in_red, np.cumsum(in_red), np.cumsum(~in_red)) - 1
         else:
             steps[oi, perm] = np.arange(g.n)
-        step = steps[oi]
-        join = np.maximum(step[g.edge_u], step[g.edge_v])
-        w[oi] = np.bincount(join, weights=g.edge_w, minlength=n_steps)[:n_steps].cumsum()
-        red[oi] = np.bincount(step[is_red], minlength=n_steps)[:n_steps].cumsum()
+        size[oi], w[oi], red[oi] = _prefix_sums(g, c, steps[oi], n_steps)
     return steps, size, 2.0 * w / size, red
 
 
@@ -210,7 +215,10 @@ def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
 def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
                       cfg: SweepConfig) -> np.ndarray:
     """Top eigenvector a sweep algorithm rounds: of the projected operator
-    for fss and fps, of the raw adjacency for ss and ps."""
+    for fss and fps, of the raw adjacency for ss and ps; ValueError for others."""
+    name = name.lower()
+    if name not in SPECTRAL_ALGORITHMS:
+        raise ValueError(f"unknown sweep algorithm {name!r}")
     op = ProjectedOperator(g, c) if name in ("fss", "fps") else g
     return dominant_eigenpair(op, tol=cfg.tol, max_iters=cfg.max_iters,
                               seed=cfg.seed).vector
@@ -226,8 +234,6 @@ def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
     """
     cfg = cfg or SweepConfig()
     name = name.lower()
-    if name not in SPECTRAL_ALGORITHMS:
-        raise ValueError(f"unknown sweep algorithm {name!r}")
     t0 = time.perf_counter()
     v = sweep_eigenvector(name, g, c, cfg)
     if name in ("ss", "fss"):
@@ -238,22 +244,17 @@ def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
 
 
 def candidate_trace(name: str, g: LabeledGraph, c: Coloring,
-                    cfg: SweepConfig | None = None) -> list[tuple[int, float, float]]:
-    """All (size, density, balance) candidates one algorithm examines.
+                    cfg: SweepConfig | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(size, density, balance) arrays of all candidates one algorithm examines.
 
     Emission order is deterministic: orderings in enumeration order, then
     prefix size ascending. The general sweep emits exactly
     len(orderings) * n candidates, the paired sweep
     len(orderings) * min(n_red, n_blue).
     """
-    cfg = cfg or SweepConfig()
-    name = name.lower()
-    if name not in SPECTRAL_ALGORITHMS:
-        raise ValueError(f"unknown sweep algorithm {name!r}")
-    v = sweep_eigenvector(name, g, c, cfg)
-    _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, paired=name in ("ps", "fps"))
-    size = np.broadcast_to(size, dens.shape)
-    blue = size - red
+    v = sweep_eigenvector(name, g, c, cfg or SweepConfig())
+    _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, name.lower() in ("ps", "fps"))
     # every prefix is non-empty, so the larger class count is at least 1
-    bal = np.minimum(red, blue) / np.maximum(red, blue)
-    return list(zip(size.ravel().tolist(), dens.ravel().tolist(), bal.ravel().tolist()))
+    bal = np.minimum(red, size - red) / np.maximum(red, size - red)
+    return size.ravel(), dens.ravel(), bal.ravel()

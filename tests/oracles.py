@@ -4,9 +4,10 @@ These deliberately avoid the library's computational paths: a per-edge
 dict loop instead of array canonicalization, dense matrices instead of CSR
 matvecs, a classical Jacobi rotation eigensolver instead of Lanczos,
 subset/cut enumeration instead of flow, a full prefix re-scan instead
-of the incremental sweep, per-token Python parsing instead of numpy's text
-reader, a per-node stack peel instead of the batched first wave, and one
-argsort of every arc instead of the reverse-arc merge.
+of the incremental sweep and the 2dfsg prefix sums, a quadratic dominance
+filter instead of the sorted Pareto front, per-token Python parsing instead
+of numpy's text reader, a per-node stack peel instead of the batched first
+wave, and one argsort of every arc instead of the reverse-arc merge.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import math
 
 import numpy as np
 
-from fairdsg.flow import _DROP_SLACK, _peel_lower_bound
-from fairdsg.graph import Coloring, LabeledGraph, NodeSet, induced_subgraph
+from fairdsg.flow import _DROP_SLACK, _padding, _peel_lower_bound
+from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
+                           induced_subgraph)
 from fairdsg.ingest import IngestError
 
 
@@ -232,15 +234,16 @@ def pair_rescan(g, codes: np.ndarray, v: np.ndarray):
 
 
 def pareto_quadratic(points):
-    """O(n^2) dominance filter; duplicates of (density, balance) keep the
-    smallest size."""
+    """O(n^2) dominance filter over (density, balance, size) triples,
+    density-descending; duplicates of (density, balance) keep the smallest
+    size."""
     points = list(points)
     keep = []
     for p in points:
         dominated = False
         for q in points:
-            if (q.density >= p.density and q.balance >= p.balance
-                    and (q.density > p.density or q.balance > p.balance)):
+            if (q[0] >= p[0] and q[1] >= p[1]
+                    and (q[0] > p[0] or q[1] > p[1])):
                 dominated = True
                 break
         if dominated:
@@ -248,10 +251,22 @@ def pareto_quadratic(points):
         keep.append(p)
     dedup = {}
     for p in keep:
-        key = (p.density, p.balance)
-        if key not in dedup or p.size < dedup[key].size:
+        key = (p[0], p[1])
+        if key not in dedup or p[2] < dedup[key][2]:
             dedup[key] = p
-    return sorted(dedup.values(), key=lambda p: (-p.density, -p.balance))
+    return sorted(dedup.values(), key=lambda p: (-p[0], -p[1]))
+
+
+def two_dfsg_prefixes(g, c, optimum):
+    """(size, density, balance) of ``optimum`` plus each prefix of its
+    padding picks, each measured from scratch with ``density`` and
+    ``balance`` on the set."""
+    picks = _padding(g, c, optimum)
+    out = []
+    for k in range(len(picks) + 1):
+        s = NodeSet([*optimum, *picks[:k]])
+        out.append((s.size, density(g, s), balance(s, c)))
+    return out
 
 
 def read_edgelist_reference(text: str):

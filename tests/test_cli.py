@@ -392,17 +392,23 @@ def test_summary_rejects_non_run_csv(tmp_path, capsys):
     bogus.write_text("a,b\n1,2\n", encoding="utf-8")
     assert main(["summary", "--input", str(bogus),
                  "--out", str(tmp_path / "s.csv")]) == 2
-    assert "not a run CSV" in capsys.readouterr().err
+    assert f"error: {bogus}: not a run CSV" in capsys.readouterr().err
 
 
 def test_summary_rejects_a_field_over_the_csv_limit(tmp_path, capsys):
+    ok = tmp_path / "ok.csv"
+    ok.write_text("algorithm,normalized_density,status\nfps,1.0,Found\n",
+                  encoding="utf-8")
     path = tmp_path / "run.csv"
     path.write_text("# a comment\nalgorithm,normalized_density,status\n"
                     "fps,1.0,Found\n" + "x" * 131_073 + ",1.0,Found\n",
                     encoding="utf-8")
-    assert main(["summary", "--input", str(path),
+    assert main(["summary", "--input", str(ok), str(path),
                  "--out", str(tmp_path / "s.csv")]) == 2
-    assert "CSV line 4: field larger than field limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "CSV line 4: field larger than field limit" in err
+    # the error names the file it came from, not the good one before it
+    assert f"error: {path}: CSV line 4" in err and str(ok) not in err
 
 
 # Degenerate inputs as edge-list text: (color line, edge lines). Parallel
@@ -545,7 +551,9 @@ def test_summary_rejects_a_manifest_comment_that_is_not_a_manifest(
     code = _summary_exit_code(str(tmp_path), f"manifest: {payload}",
                               [("fps", 1.0, "Found")])
     assert code == 2
-    assert "manifest comment" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "manifest comment" in err
+    assert f"error: {tmp_path / 'run.csv'}: " in err
 
 
 @settings(max_examples=150, deadline=None)
@@ -588,3 +596,13 @@ def test_ingest_amazon_exits_0_on_drawn_json_lines(lines):
         assert main(["ingest-amazon", "--input", str(src),
                      "--out-dir", str(Path(directory) / "pairs"),
                      "--min-nodes", "1"]) == 0
+
+
+def test_every_name_in_the_package_all_resolves():
+    import fairdsg
+
+    assert len(set(fairdsg.__all__)) == len(fairdsg.__all__)
+    assert [name for name in fairdsg.__all__ if not hasattr(fairdsg, name)] == []
+    star: dict = {}
+    exec("from fairdsg import *", star)
+    assert set(fairdsg.__all__) <= star.keys()

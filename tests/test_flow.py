@@ -17,7 +17,7 @@ from fairdsg.sweep import SolveStatus
 
 from conftest import random_coloring, random_graph
 from oracles import (brute_densest_subsets, brute_largest_densest, brute_min_cut,
-                     dense_adjacency, stack_peel_core)
+                     dense_adjacency, stack_peel_core, two_dfsg_prefixes)
 
 
 def _network(n, source, sink, arcs):
@@ -285,15 +285,14 @@ def test_two_dfsg_candidates_trajectory():
     g = LabeledGraph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
     c = Coloring.from_labels("RRBBB")
     optimum = exact_densest_subgraph(g).node_set
-    trail = two_dfsg_candidates(g, c, optimum)
+    size, dens, _ = two_dfsg_candidates(g, c, optimum)
     rec = two_dfsg(g, c, optimum)
     assert rec.status is SolveStatus.FOUND
     assert rec.node_set.as_tuple() == (0, 1, 2, 3)
-    assert trail[0][0] == 3
-    assert trail[-1][0] == rec.size
-    assert trail[-1][1] == pytest.approx(rec.density)
-    sizes = [size for size, _, _ in trail]
-    assert sizes == sorted(sizes)
+    assert size[0] == 3
+    assert size[-1] == rec.size
+    assert dens[-1] == pytest.approx(rec.density)
+    assert size.tolist() == sorted(size.tolist())
 
 
 def test_two_dfsg_gains_follow_earlier_picks():
@@ -307,9 +306,9 @@ def test_two_dfsg_gains_follow_earlier_picks():
     rec = two_dfsg(g, c, optimum)
     assert rec.status is SolveStatus.FOUND
     assert rec.node_set.as_tuple() == (0, 1, 2, 3, 5, 6, 7, 8)
-    trail = two_dfsg_candidates(g, c, optimum)
+    _, dens, _ = two_dfsg_candidates(g, c, optimum)
     # picks 5, 8, 7, 6 each add one edge
-    assert [d for _, d, _ in trail] == pytest.approx(
+    assert dens.tolist() == pytest.approx(
         [2.0 * e / s for e, s in [(6, 4), (7, 5), (8, 6), (9, 7), (10, 8)]])
 
 
@@ -320,13 +319,70 @@ def test_two_dfsg_ends_its_candidate_trajectory():
         g = random_graph(rng, n, float(rng.uniform(0.2, 0.6)))
         c = random_coloring(rng, n, balanced=True)
         optimum = exact_densest_subgraph(g).node_set
-        trail = two_dfsg_candidates(g, c, optimum)
+        trail = list(zip(*(a.tolist() for a in two_dfsg_candidates(g, c, optimum))))
         rec = two_dfsg(g, c, optimum)
         # one snapshot per padding step, the last one the 2dfsg set itself
         assert trail[0] == (optimum.size, density(g, optimum),
                             balance(optimum, c))
         assert len(trail) == rec.size - optimum.size + 1
         assert trail[-1] == (rec.size, rec.density, rec.balance)
+
+
+def _candidate_triples(g, c, optimum):
+    size, dens, bal = two_dfsg_candidates(g, c, optimum)
+    assert size.dtype.kind == "i"
+    return list(zip(size.tolist(), dens.tolist(), bal.tolist()))
+
+
+def test_two_dfsg_candidates_match_the_per_prefix_recompute():
+    rng = np.random.default_rng(97)
+    for _ in range(60):
+        n = int(rng.integers(1, 18))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.7)))
+        c = random_coloring(rng, n)
+        optimum = exact_densest_subgraph(g).node_set
+        # unit weights: every prefix sum is an exact integer
+        assert _candidate_triples(g, c, optimum) == two_dfsg_prefixes(g, c, optimum)
+        # and from a start the padding has to grow a long way
+        start = NodeSet(np.flatnonzero(c.codes == c.codes[0])[:4])
+        assert _candidate_triples(g, c, start) == two_dfsg_prefixes(g, c, start)
+
+
+def test_two_dfsg_candidates_match_the_per_prefix_recompute_weighted():
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        n = int(rng.integers(2, 18))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.5]
+        weights = rng.choice([0.1, 0.3, 2.5, 1e-3], size=len(pairs))
+        g = LabeledGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        c = random_coloring(rng, n)
+        for start in (exact_densest_subgraph(g).node_set,
+                      NodeSet(np.flatnonzero(c.codes == c.codes[0]))):
+            ours = _candidate_triples(g, c, start)
+            ref = two_dfsg_prefixes(g, c, start)
+            assert [(s, b) for s, _, b in ours] == [(s, b) for s, _, b in ref]
+            for (_, d, _), (_, d_ref, _) in zip(ours, ref):
+                assert d == pytest.approx(d_ref, rel=1e-12, abs=0.0)
+
+
+def test_two_dfsg_candidates_pad_a_one_colored_clique():
+    # a red K_8 optimum in a blue ring: eight picks, one prefix each
+    clique = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+    ring = [(8 + i, 8 + (i + 1) % 12) for i in range(12)] + [(0, 8), (3, 14)]
+    g = LabeledGraph.from_edges(20, clique + ring)
+    c = Coloring.from_labels("R" * 8 + "B" * 12)
+    optimum = exact_densest_subgraph(g).node_set
+    assert optimum.as_tuple() == tuple(range(8))
+    trail = _candidate_triples(g, c, optimum)
+    assert trail == two_dfsg_prefixes(g, c, optimum)
+    assert [s for s, _, _ in trail] == list(range(8, 17))
+    assert trail[-1][2] == 1.0 and trail[0][2] == 0.0
+
+
+def test_two_dfsg_candidates_reject_an_empty_start(k4, k4_rrbb):
+    with pytest.raises(ValueError, match="empty-set density undefined"):
+        two_dfsg_candidates(k4, k4_rrbb, NodeSet())
 
 
 def _clique_and_band(band: int) -> LabeledGraph:

@@ -16,7 +16,7 @@ from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
 from fairdsg.ingest import (LINE_BREAK, GmlNode, IngestError, ParseError,
                             ProductRecord, build_product_graph, category_pair_subgraphs,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
-                            read_edgelist, write_edgelist)
+                            read_edgelist, save_edgelist, write_edgelist)
 
 from oracles import read_edgelist_reference
 
@@ -549,3 +549,21 @@ def test_write_edgelist_rejects_a_comment_with_a_line_break(brk):
     with pytest.raises(ValueError, match="line break"):
         write_edgelist(g, Coloring.from_labels("RB"), buf, ["fine", f"a{brk}b"])
     assert buf.getvalue() == ""
+
+
+def test_save_edgelist_validates_before_it_opens_the_file(tmp_path):
+    g = LabeledGraph.from_edges(2, [(0, 1)])
+    good = Coloring.from_labels("RB")
+    bad_calls = [(good, ["a\nb"]), (Coloring.from_labels("RBR"), [])]
+    fresh = tmp_path / "fresh.el"
+    for coloring, comments in bad_calls:
+        with pytest.raises(ValueError):
+            save_edgelist(g, coloring, str(fresh), comments)
+        assert not fresh.exists()
+    existing = tmp_path / "existing.el"
+    save_edgelist(g, good, str(existing), ["kept"])
+    before = existing.read_bytes()
+    for coloring, comments in bad_calls:
+        with pytest.raises(ValueError):
+            save_edgelist(g, coloring, str(existing), comments)
+        assert existing.read_bytes() == before

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fairdsg.flow import exact_densest_subgraph
 from fairdsg.graph import LabeledGraph, NodeSet
-from fairdsg.report import (RESULT_FIELDS, ParetoPoint, RunManifest,
+from fairdsg.report import (RESULT_FIELDS, RunManifest,
                             format_float, normalized_density, pareto_front,
                             read_csv, result_row, summarize, write_csv)
 from fairdsg.sweep import SolveStatus, make_record, run_algorithm
@@ -17,54 +17,44 @@ from fairdsg.sweep import SolveStatus, make_record, run_algorithm
 from oracles import pareto_quadratic
 
 
-def _point(d, b, size=1, alg="x"):
-    return ParetoPoint(density=d, balance=b, size=size, algorithm=alg)
+def _front(pts):
+    """pareto_front of (density, balance, size) triples, as triples."""
+    density, balance, size = (np.array(col) for col in zip(*pts))
+    return [pts[i] for i in pareto_front(density, balance, size)]
 
 
 def test_pareto_trivial_cases():
-    single = [_point(1.0, 1.0)]
-    assert pareto_front(single) == single
-    pts = [_point(2.0, 0.5), _point(1.0, 1.0), _point(1.5, 0.5)]
-    front = pareto_front(pts)
-    assert [(p.density, p.balance) for p in front] == [(2.0, 0.5), (1.0, 1.0)]
-
-
-def test_pareto_point_validation():
-    with pytest.raises(ValueError):
-        _point(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        _point(1.0, 1.5)
+    assert _front([(1.0, 1.0, 1)]) == [(1.0, 1.0, 1)]
+    front = _front([(2.0, 0.5, 1), (1.0, 1.0, 1), (1.5, 0.5, 1)])
+    assert [(d, b) for d, b, _ in front] == [(2.0, 0.5), (1.0, 1.0)]
+    empty = pareto_front(np.array([]), np.array([]), np.array([], dtype=np.int64))
+    assert empty.shape == (0,)
 
 
 def test_pareto_deduplicates_by_smallest_size():
-    pts = [_point(1.0, 1.0, size=6), _point(1.0, 1.0, size=2), _point(1.0, 1.0, size=4)]
-    front = pareto_front(pts)
-    assert len(front) == 1 and front[0].size == 2
+    front = _front([(1.0, 1.0, 6), (1.0, 1.0, 2), (1.0, 1.0, 4)])
+    assert front == [(1.0, 1.0, 2)]
 
 
 def test_pareto_matches_quadratic_oracle():
     rng = np.random.default_rng(107)
     for _ in range(20):
-        pts = [_point(float(rng.integers(0, 6)) / 2.0,
-                      float(rng.integers(0, 5)) / 4.0,
-                      size=int(rng.integers(1, 9)))
+        pts = [(float(rng.integers(0, 6)) / 2.0, float(rng.integers(0, 5)) / 4.0,
+                int(rng.integers(1, 9)))
                for _ in range(100)]
-        ours = pareto_front(pts)
-        ref = pareto_quadratic(pts)
-        assert [(p.density, p.balance, p.size) for p in ours] == \
-            [(p.density, p.balance, p.size) for p in ref]
+        ours = _front(pts)
+        assert ours == pareto_quadratic(pts)
         # antichain: no pair dominates within the front
         for i, p in enumerate(ours):
             for j, q in enumerate(ours):
                 if i != j:
-                    assert not (q.density >= p.density and q.balance >= p.balance
-                                and (q.density > p.density or q.balance > p.balance))
+                    assert not (q[0] >= p[0] and q[1] >= p[1]
+                                and (q[0] > p[0] or q[1] > p[1]))
         # coverage: every input point is dominated by or equal to a front point
         for p in pts:
-            assert any(q.density >= p.density and q.balance >= p.balance
-                       for q in ours)
+            assert any(q[0] >= p[0] and q[1] >= p[1] for q in ours)
         # sorted by descending density
-        densities = [p.density for p in ours]
+        densities = [p[0] for p in ours]
         assert densities == sorted(densities, reverse=True)
 
 
@@ -72,16 +62,37 @@ def test_pareto_matches_quadratic_oracle():
 @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 4), st.integers(1, 6)),
                 min_size=1, max_size=40))
 def test_pareto_properties(raw):
-    pts = [_point(d / 2.0, b / 4.0, size=s) for d, b, s in raw]
-    front = pareto_front(pts)
+    pts = [(d / 2.0, b / 4.0, s) for d, b, s in raw]
+    front = _front(pts)
     assert front == pareto_quadratic(pts)
     seen = set()
-    for p in front:
-        assert (p.density, p.balance) not in seen
-        seen.add((p.density, p.balance))
+    for d, b, _ in front:
+        assert (d, b) not in seen
+        seen.add((d, b))
     for p in pts:
-        assert any(q.density >= p.density and q.balance >= p.balance
-                   for q in front)
+        assert any(q[0] >= p[0] and q[1] >= p[1] for q in front)
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                               st.sampled_from([0.0, 0.0, 0.25, 1.0]),
+                               st.integers(1, 4)),
+                     min_size=1, max_size=12),
+       repeats=st.lists(st.integers(0, 11), max_size=30),
+       sizes=st.lists(st.integers(1, 4), max_size=30))
+def test_pareto_front_on_heavy_ties(base, repeats, sizes):
+    # each repeat copies a drawn point, with its size or with a new one
+    pts = list(base)
+    for at, r in enumerate(repeats):
+        d, b, s = base[r % len(base)]
+        pts.append((d, b, sizes[at] if at < len(sizes) else s))
+    density, balance, size = (np.array(col) for col in zip(*pts))
+    front = pareto_front(density, balance, size)
+    assert [pts[i] for i in front] == pareto_quadratic(pts)
+    # the kept index of a tied (density, balance) pair has the smallest size
+    for i in front:
+        tied = (density == density[i]) & (balance == balance[i])
+        assert size[i] == size[tied].min()
 
 
 def test_normalized_density(k4, k4_rrbb):

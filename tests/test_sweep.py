@@ -8,7 +8,7 @@ from fairdsg.planted import PlantedParams, generate
 from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
 from fairdsg.sweep import (ALL_ORDERINGS, Ordering, SolveStatus, SweepConfig,
                            candidate_trace, general_sweep, ordering_permutation,
-                           paired_sweep, run_algorithm)
+                           paired_sweep, run_algorithm, sweep_eigenvector)
 
 from conftest import random_coloring, random_graph
 from oracles import pair_rescan, subset_density, sweep_rescan, dense_adjacency
@@ -137,6 +137,21 @@ def test_run_algorithm_rejects_unknown(k4, k4_rrbb):
         run_algorithm("gsa", k4, k4_rrbb)
 
 
+def test_algorithm_names_are_checked_case_insensitively(k4, k4_rrbb):
+    for call in (run_algorithm, candidate_trace,
+                 lambda *a: sweep_eigenvector(*a, SweepConfig())):
+        with pytest.raises(ValueError, match="unknown sweep algorithm 'gsa'"):
+            call("GSA", k4, k4_rrbb)
+    assert run_algorithm("FPS", k4, k4_rrbb).algorithm == "fps"
+    # the projected operator serves FSS as it serves fss
+    assert np.array_equal(sweep_eigenvector("FSS", k4, k4_rrbb, SweepConfig()),
+                          sweep_eigenvector("fss", k4, k4_rrbb, SweepConfig()))
+    # and the paired sweep serves PS as it serves ps
+    for upper, lower in zip(candidate_trace("PS", k4, k4_rrbb),
+                            candidate_trace("ps", k4, k4_rrbb)):
+        assert np.array_equal(upper, lower)
+
+
 def test_paired_variants_never_return_unfair_solutions():
     rng = np.random.default_rng(41)
     for _ in range(60):
@@ -161,15 +176,18 @@ def test_fss_recovers_isolated_planted_clique():
 
 def test_candidate_trace_counts_and_values(triangle):
     c3 = Coloring.from_labels("RRR")
-    trace = candidate_trace("ss", triangle, c3)
-    assert len(trace) == 4 * 3
+    size, dens, bal = candidate_trace("ss", triangle, c3)
+    assert size.shape == dens.shape == bal.shape == (4 * 3,)
+    assert size.dtype.kind == "i"
     for block in range(4):
-        densities = [trace[block * 3 + i][1] for i in range(3)]
-        assert densities == [0.0, 1.0, 2.0]
+        assert dens[block * 3:block * 3 + 3].tolist() == [0.0, 1.0, 2.0]
+        assert size[block * 3:block * 3 + 3].tolist() == [1, 2, 3]
+    assert bal.tolist() == [0.0] * 12  # no blue node
 
     g = LabeledGraph.from_edges(2, [(0, 1)])
     c = Coloring.from_labels("RB")
-    assert candidate_trace("ps", g, c) == [(2, 1.0, 1.0)] * 4
+    size, dens, bal = candidate_trace("ps", g, c)
+    assert list(zip(size.tolist(), dens.tolist(), bal.tolist())) == [(2, 1.0, 1.0)] * 4
 
 
 def test_trace_densities_match_scratch_recompute():
@@ -182,9 +200,9 @@ def test_trace_densities_match_scratch_recompute():
         a = dense_adjacency(g)
         for oi, ordering in enumerate(ALL_ORDERINGS):
             perm = ordering_permutation(v, ordering)
-            trace = candidate_trace("fss", g, c, SweepConfig(seed=1))
-            block = trace[oi * n:(oi + 1) * n]
-            for s, (size, dens, _) in enumerate(block, start=1):
+            sizes, densities, _ = candidate_trace("fss", g, c, SweepConfig(seed=1))
+            block = zip(sizes[oi * n:(oi + 1) * n], densities[oi * n:(oi + 1) * n])
+            for s, (size, dens) in enumerate(block, start=1):
                 assert size == s
                 assert dens == pytest.approx(subset_density(a, perm[:s]), abs=1e-9)
 
@@ -240,8 +258,7 @@ def test_single_ordering_mode():
     assert rec.node_set.as_tuple() == (0, 1, 2, 3)
     assert rec.density == 2.0
 
-    trace = candidate_trace("ss", g, c)
-    assert len(trace) == 16
+    assert all(a.shape == (16,) for a in candidate_trace("ss", g, c))
 
 
 def test_dimension_mismatch_rejected(k4, k4_rrbb):
