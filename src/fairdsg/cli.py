@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import dataclasses
+import functools
 import os
 import re
 import sys
@@ -32,7 +32,7 @@ from .spectral import ConvergenceError
 from .sweep import (SPECTRAL_ALGORITHMS, SolveStatus, SweepConfig,
                     candidate_trace, make_record, run_algorithm)
 
-RUN_ALGORITHMS = SPECTRAL_ALGORITHMS + ("2dfsg", "exact", "oracle")
+RUN_ALGORITHMS = (*SPECTRAL_ALGORITHMS, "2dfsg", "exact", "oracle")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,35 +202,33 @@ def _cmd_run(args) -> int:
     seed = _resolve_seed(args)
     g, c = load_edgelist(args.input)
     name = args.algorithm
+    # the exact solve is part of 2dfsg and exact; the others use it only to
+    # normalize their result, so their time starts after it
     t0 = time.perf_counter()
     optimum = exact_densest_subgraph(g)
-    optimum_elapsed = time.perf_counter() - t0
+    if name not in ("2dfsg", "exact"):
+        t0 = time.perf_counter()
     if name in SPECTRAL_ALGORITHMS:
         cfg = SweepConfig(delta=args.delta, tol=args.tol,
                           max_iters=args.max_iters, seed=seed)
         record = run_algorithm(name, g, c, cfg)
     elif name == "2dfsg":
         record = two_dfsg(g, c, optimum.node_set)
-        record = dataclasses.replace(
-            record, runtime_s=optimum_elapsed + record.runtime_s)
     elif name == "exact":
-        record = make_record("exact", g, c, optimum.node_set, SolveStatus.FOUND,
-                             optimum_elapsed)
+        record = make_record(g, c, optimum.node_set, SolveStatus.FOUND)
     else:  # oracle: exact fair optimum by enumeration
         if g.n > ORACLE_MAX_N:
             raise ValueError(f"oracle supports at most {ORACLE_MAX_N} nodes, "
                              f"got {g.n}")
-        t0 = time.perf_counter()
         res = brute_force_densest(g, c)
         status = SolveStatus.FOUND if res.feasible else SolveStatus.NO_FEASIBLE_PREFIX
-        record = make_record("oracle", g, c, res.node_set, status,
-                             time.perf_counter() - t0)
+        record = make_record(g, c, res.node_set, status)
+    runtime_s = time.perf_counter() - t0
     nd = normalized_density(record, optimum=optimum.density)
     manifest = _manifest(args, "run", [args.input], algorithm=name,
                          delta=args.delta, seed=seed)
-    row = result_row(record, instance=args.input, g=g, n_red=c.n_red,
-                     n_blue=c.n_blue, normalized=nd, seed=seed,
-                     include_runtime=args.timings == "wall")
+    row = result_row(name, record, instance=args.input, g=g, c=c, normalized=nd,
+                     seed=seed, runtime_s=runtime_s if args.timings == "wall" else None)
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, RESULT_FIELDS, [row], manifest)
     print(f"{name}: status={record.status.value} size={record.size} "
@@ -251,37 +249,38 @@ PLANTED_FIELDS = [
 _RETRY_STRIDE = 1_000_003
 
 
-def _planted_row(task) -> dict[str, str]:
-    (base_seed, n, m, d, eps, p_bg, algorithm, delta_policy, tol, max_iters,
-     require, save_dir) = task
-    attempts = 100 if require else 1
+def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, str]:
+    """One report row of ``planted``: the instance drawn from ``base_seed``
+    (re-drawn while --require-hypotheses fails) and its recovery."""
+    attempts = 100 if args.require_hypotheses else 1
     instance = None
     seed_used = base_seed
     for attempt in range(attempts):
         seed_used = base_seed + attempt * _RETRY_STRIDE
-        params = PlantedParams(n=n, m=m, d=d, eps=eps, p_bg=p_bg, seed=seed_used)
-        instance = generate(params, eig_tol=tol, eig_max_iters=max_iters)
-        if instance.measured.hypotheses_hold or not require:
+        params = PlantedParams(n=args.n, m=args.m, d=args.d, eps=args.eps,
+                               p_bg=args.p_bg, seed=seed_used)
+        instance = generate(params, eig_tol=args.tol, eig_max_iters=args.max_iters)
+        if instance.measured.hypotheses_hold or not args.require_hypotheses:
             break
     else:
         raise ValueError(f"no instance with holding hypotheses found for seed "
                          f"{base_seed} after {attempts} attempts")
-    if save_dir is not None:
-        save_edgelist(instance.graph, instance.coloring,
-                      os.path.join(save_dir, f"planted_{seed_used}.el"),
-                      comments=[f"planted instance seed={seed_used} n={n} "
-                                f"m={m} d={d} eps={eps!r} p_bg={p_bg!r}"])
-        nodes_path = os.path.join(save_dir, f"planted_{seed_used}.nodes")
-        with open(nodes_path, "w", encoding="utf-8") as handle:
+    if args.save_instances is not None:
+        stem = os.path.join(args.save_instances, f"planted_{seed_used}")
+        save_edgelist(instance.graph, instance.coloring, f"{stem}.el",
+                      comments=[f"planted instance seed={seed_used} n={args.n} "
+                                f"m={args.m} d={args.d} eps={args.eps!r} "
+                                f"p_bg={args.p_bg!r}"])
+        with open(f"{stem}.nodes", "w", encoding="utf-8") as handle:
             for node in instance.planted_set:
                 handle.write(f"{node}\n")
-    report = run_recovery(instance, algorithm, delta_policy,
-                          eig_tol=tol, eig_max_iters=max_iters)
+    report = run_recovery(instance, args.algorithm, delta_policy,
+                          eig_tol=args.tol, eig_max_iters=args.max_iters)
     meas = instance.measured
     return {
         "seed": str(base_seed), "seed_used": str(seed_used),
-        "n": str(n), "m": str(m), "d": str(d),
-        "eps": format_float(eps), "p_bg": format_float(p_bg),
+        "n": str(args.n), "m": str(args.m), "d": str(args.d),
+        "eps": format_float(args.eps), "p_bg": format_float(args.p_bg),
         "hypotheses_hold": str(meas.hypotheses_hold).lower(),
         "vacuous": str(report.vacuous).lower(),
         "lambda1": format_float(meas.lambda1),
@@ -317,16 +316,14 @@ def _cmd_planted(args) -> int:
                              f"number, got {args.delta_policy!r}")
     if args.save_instances is not None:
         os.makedirs(args.save_instances, exist_ok=True)
-    tasks = [(base + i, args.n, args.m, args.d, args.eps, args.p_bg,
-              args.algorithm, policy, args.tol, args.max_iters,
-              args.require_hypotheses, args.save_instances)
-             for i in range(args.seeds)]
-    workers = min(args.jobs, len(tasks))  # a pool starts every worker at once
+    row = functools.partial(_planted_row, args, policy)
+    seeds = range(base, base + args.seeds)
+    workers = min(args.jobs, args.seeds)  # a pool starts every worker at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_planted_row, tasks))
+            rows = list(pool.map(row, seeds))
     else:
-        rows = [_planted_row(t) for t in tasks]
+        rows = list(map(row, seeds))
     manifest = _manifest(args, "planted", [], algorithm=args.algorithm, seed=base)
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, PLANTED_FIELDS, rows, manifest)
@@ -339,7 +336,7 @@ def _cmd_planted(args) -> int:
 def _cmd_pareto(args) -> int:
     seed = _resolve_seed(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    valid = SPECTRAL_ALGORITHMS + ("2dfsg",)
+    valid = (*SPECTRAL_ALGORITHMS, "2dfsg")
     if not algorithms:
         raise ValueError("--algorithms names no algorithm")
     for name in algorithms:

@@ -226,7 +226,7 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
         delta = float(delta_policy)
     vector = sweep_eigenvector(algorithm, g, c, SweepConfig(
         tol=eig_tol, max_iters=eig_max_iters, seed=instance.params.seed))
-    solution = general_sweep(g, c, vector, delta, algorithm=algorithm)
+    solution = general_sweep(g, c, vector, delta)
 
     m = instance.planted_set.size
     err = recovery_error(instance.planted_set, solution.node_set)

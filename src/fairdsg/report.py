@@ -14,7 +14,7 @@ from typing import IO, Iterable, Mapping
 
 import numpy as np
 
-from .graph import LabeledGraph
+from .graph import Coloring, LabeledGraph
 from .sweep import SolutionRecord, SolveStatus
 
 RESULT_FIELDS = [
@@ -127,15 +127,16 @@ class RunManifest:
                       "inputs": tuple(payload["inputs"])})
 
 
-def result_row(record: SolutionRecord, *, instance: str, g: LabeledGraph,
-               n_red: int, n_blue: int, normalized: float, seed: int,
-               include_runtime: bool) -> dict[str, str]:
+def result_row(algorithm: str, record: SolutionRecord, *, instance: str,
+               g: LabeledGraph, c: Coloring, normalized: float, seed: int,
+               runtime_s: float | None = None) -> dict[str, str]:
+    """One run-CSV row; ``runtime_ms`` is empty unless ``runtime_s`` is given."""
     return {
-        "algorithm": record.algorithm,
+        "algorithm": algorithm,
         "instance": instance,
         "n": str(g.n),
-        "n_red": str(n_red),
-        "n_blue": str(n_blue),
+        "n_red": str(c.n_red),
+        "n_blue": str(c.n_blue),
         "edges": str(g.num_edges),
         "sol_size": str(record.size),
         "sol_red": str(record.n_red_in_s),
@@ -145,7 +146,7 @@ def result_row(record: SolutionRecord, *, instance: str, g: LabeledGraph,
         "normalized_density": format_float(normalized),
         "fair": "true" if record.fair else "false",
         "status": record.status.value,
-        "runtime_ms": format_float(record.runtime_s * 1000.0) if include_runtime else "",
+        "runtime_ms": "" if runtime_s is None else format_float(runtime_s * 1000.0),
         "seed": str(seed),
     }
 

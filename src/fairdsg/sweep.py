@@ -28,8 +28,7 @@ Four named algorithms combine a sweep with an eigenvector source:
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -49,7 +48,11 @@ class Ordering(Enum):
 #: Fixed enumeration order; also the tie-break order across orderings.
 ALL_ORDERINGS: tuple[Ordering, ...] = tuple(Ordering)
 
-SPECTRAL_ALGORITHMS = ("ss", "fss", "ps", "fps")
+#: name -> (sweeps the projected operator's eigenvector?, paired sweep?)
+SPECTRAL_ALGORITHMS: dict[str, tuple[bool, bool]] = {
+    "ss": (False, False), "fss": (True, False),
+    "ps": (False, True), "fps": (True, True),
+}
 
 
 class SolveStatus(Enum):
@@ -58,15 +61,17 @@ class SolveStatus(Enum):
     UNFAIR = "Unfair"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionRecord:
-    """One algorithm run: the set plus its recomputed quality measures.
+    """A node set, its status and its quality measures, recomputed from the
+    graph.
 
+    The record describes the set, not the run that found it: it holds no
+    algorithm name and no timing, so equal inputs give equal records.
     ``fair`` is true only for a non-empty set with zero imbalance, so failed
     runs (empty set, status NoFeasiblePrefix) are never reported as fair.
     """
 
-    algorithm: str
     node_set: NodeSet
     density: float
     balance: float
@@ -75,13 +80,13 @@ class SolutionRecord:
     size: int
     n_red_in_s: int
     n_blue_in_s: int
-    runtime_s: float
     status: SolveStatus
 
 
-def make_record(algorithm: str, g: LabeledGraph, c: Coloring, s: NodeSet,
-                status: SolveStatus, runtime_s: float) -> SolutionRecord:
-    """Assemble a record, recomputing every measure from the graph."""
+def make_record(g: LabeledGraph, c: Coloring, s: NodeSet,
+                status: SolveStatus) -> SolutionRecord:
+    """The record of ``s`` with ``status``, every measure recomputed from
+    the graph; the empty set has density and balance 0."""
     red, blue = color_counts(s, c)
     if s.size:
         dens = density(g, s)
@@ -91,9 +96,9 @@ def make_record(algorithm: str, g: LabeledGraph, c: Coloring, s: NodeSet,
         bal = 0.0
     imb = abs(red - blue)
     return SolutionRecord(
-        algorithm=algorithm, node_set=s, density=dens, balance=bal,
-        imbalance=imb, fair=bool(s.size > 0 and imb == 0), size=s.size,
-        n_red_in_s=red, n_blue_in_s=blue, runtime_s=runtime_s, status=status)
+        node_set=s, density=dens, balance=bal, imbalance=imb,
+        fair=bool(s.size > 0 and imb == 0), size=s.size,
+        n_red_in_s=red, n_blue_in_s=blue, status=status)
 
 
 @dataclass(frozen=True)
@@ -172,20 +177,17 @@ def _best(key: np.ndarray) -> tuple[int, int] | None:
     return None if key[oi, step] == -np.inf else (oi, step)
 
 
-def _record(algorithm: str, g: LabeledGraph, c: Coloring, steps: np.ndarray,
-            best: tuple[int, int] | None, t0: float) -> SolutionRecord:
-    elapsed = time.perf_counter() - t0
+def _record(g: LabeledGraph, c: Coloring, steps: np.ndarray,
+            best: tuple[int, int] | None) -> SolutionRecord:
     if best is None:
-        return make_record(algorithm, g, c, NodeSet(), SolveStatus.NO_FEASIBLE_PREFIX,
-                           elapsed)
+        return make_record(g, c, NodeSet(), SolveStatus.NO_FEASIBLE_PREFIX)
     oi, step = best
-    return make_record(algorithm, g, c, NodeSet(np.flatnonzero(steps[oi] <= step)),
-                       SolveStatus.FOUND, elapsed)
+    return make_record(g, c, NodeSet(np.flatnonzero(steps[oi] <= step)),
+                       SolveStatus.FOUND)
 
 
 def general_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray, delta: float,
-                  orderings: Sequence[Ordering] = ALL_ORDERINGS,
-                  algorithm: str = "sweep") -> SolutionRecord:
+                  orderings: Sequence[Ordering] = ALL_ORDERINGS) -> SolutionRecord:
     """Best prefix over the given orderings with imbalance <= delta * |S|.
 
     Ties prefer higher density, then smaller size, then the earlier ordering.
@@ -193,23 +195,20 @@ def general_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray, delta: float,
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    t0 = time.perf_counter()
     steps, size, dens, red = _scan(g, c, v, orderings, paired=False)
     feasible = np.abs(2 * red - size) <= delta * size
-    return _record(algorithm, g, c, steps, _best(np.where(feasible, dens, -np.inf)), t0)
+    return _record(g, c, steps, _best(np.where(feasible, dens, -np.inf)))
 
 
 def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
-                 orderings: Sequence[Ordering] = ALL_ORDERINGS,
-                 algorithm: str = "paired") -> SolutionRecord:
+                 orderings: Sequence[Ordering] = ALL_ORDERINGS) -> SolutionRecord:
     """Densest union of equal-size color prefixes; fair by construction.
 
     Ties prefer higher density, then smaller size, then the earlier ordering.
     Status is NoFeasiblePrefix only when one color class is empty.
     """
-    t0 = time.perf_counter()
     steps, _, dens, _ = _scan(g, c, v, orderings, paired=True)
-    return _record(algorithm, g, c, steps, _best(dens), t0)
+    return _record(g, c, steps, _best(dens))
 
 
 def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
@@ -219,28 +218,27 @@ def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
     name = name.lower()
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
-    op = ProjectedOperator(g, c) if name in ("fss", "fps") else g
+    projected, _ = SPECTRAL_ALGORITHMS[name]
+    op = ProjectedOperator(g, c) if projected else g
     return dominant_eigenpair(op, tol=cfg.tol, max_iters=cfg.max_iters,
                               seed=cfg.seed).vector
 
 
 def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
                   cfg: SweepConfig | None = None) -> SolutionRecord:
-    """Run one of ss / fss / ps / fps.
+    """The record of one of ss / fss / ps / fps (any case) on ``g``.
 
     ss and fss sweep with the slack ``cfg.delta`` (the recovery guarantee
     uses delta = 16 (eps + theta); the experimental defaults use delta = 0).
-    ps and fps ignore delta.
+    ps and fps ignore delta. The record depends on the inputs only, so equal
+    calls return equal records.
     """
     cfg = cfg or SweepConfig()
-    name = name.lower()
-    t0 = time.perf_counter()
     v = sweep_eigenvector(name, g, c, cfg)
-    if name in ("ss", "fss"):
-        record = general_sweep(g, c, v, cfg.delta, algorithm=name)
-    else:
-        record = paired_sweep(g, c, v, algorithm=name)
-    return replace(record, runtime_s=time.perf_counter() - t0)
+    _, paired = SPECTRAL_ALGORITHMS[name.lower()]
+    if paired:
+        return paired_sweep(g, c, v)
+    return general_sweep(g, c, v, cfg.delta)
 
 
 def candidate_trace(name: str, g: LabeledGraph, c: Coloring,
@@ -254,7 +252,8 @@ def candidate_trace(name: str, g: LabeledGraph, c: Coloring,
     len(orderings) * min(n_red, n_blue).
     """
     v = sweep_eigenvector(name, g, c, cfg or SweepConfig())
-    _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, name.lower() in ("ps", "fps"))
+    _, paired = SPECTRAL_ALGORITHMS[name.lower()]
+    _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, paired)
     # every prefix is non-empty, so the larger class count is at least 1
     bal = np.minimum(red, size - red) / np.maximum(red, size - red)
     return size.ravel(), dens.ravel(), bal.ravel()

@@ -91,6 +91,28 @@ def test_run_timings_flag(small_graph_file, tmp_path):
     assert float(rows[0]["runtime_ms"]) >= 0.0
 
 
+def test_run_runtime_counts_the_exact_solve_for_2dfsg_and_exact_only(
+        small_graph_file, tmp_path, monkeypatch):
+    # a fake clock that only the exact solve advances, by 1000 s
+    import fairdsg.cli as cli
+    now = [0.0]
+    solve = cli.exact_densest_subgraph
+
+    def slow_solve(g):
+        now[0] += 1000.0
+        return solve(g)
+
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(cli, "exact_densest_subgraph", slow_solve)
+    for algorithm, counted in (("2dfsg", True), ("exact", True),
+                               ("fss", False), ("oracle", False)):
+        out = tmp_path / f"{algorithm}.csv"
+        assert main(["run", "--input", small_graph_file, "--algorithm", algorithm,
+                     "--timings", "wall", "--out", str(out)]) == 0
+        runtime_ms = float(_rows(str(out))[1][0]["runtime_ms"])
+        assert (runtime_ms >= 1e6) == counted, algorithm
+
+
 def test_seed_env_fallback(small_graph_file, tmp_path, monkeypatch):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

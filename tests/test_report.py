@@ -100,8 +100,7 @@ def test_normalized_density(k4, k4_rrbb):
     optimum = exact_densest_subgraph(k4).density
     assert normalized_density(rec, optimum=optimum) == pytest.approx(1.0)
     assert normalized_density(rec, optimum=6.0) == pytest.approx(0.5)
-    empty = make_record("fss", k4, k4_rrbb, NodeSet(),
-                        SolveStatus.NO_FEASIBLE_PREFIX, 0.0)
+    empty = make_record(k4, k4_rrbb, NodeSet(), SolveStatus.NO_FEASIBLE_PREFIX)
     assert normalized_density(empty, optimum=optimum) == 0.0
     edgeless = LabeledGraph.from_edges(2, [])
     with pytest.raises(ValueError, match="zero unconstrained optimum"):
@@ -136,8 +135,8 @@ def test_manifest_round_trip_and_csv(k4, k4_rrbb):
     assert parsed == manifest
 
     rec = run_algorithm("fps", k4, k4_rrbb)
-    row = result_row(rec, instance="g.el", g=k4, n_red=2, n_blue=2,
-                     normalized=1.0, seed=7, include_runtime=False)
+    row = result_row("fps", rec, instance="g.el", g=k4, c=k4_rrbb,
+                     normalized=1.0, seed=7)
     buf = io.StringIO()
     write_csv(buf, RESULT_FIELDS, [row], manifest)
     got_manifest, rows = read_csv(io.StringIO(buf.getvalue()))

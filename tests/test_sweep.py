@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
-from fairdsg.graph import Coloring, LabeledGraph, density
-from fairdsg.planted import PlantedParams, generate
+from fairdsg.flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
+from fairdsg.graph import RED, Coloring, LabeledGraph, density
+from fairdsg.planted import PlantedParams, generate, run_recovery
 from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
-from fairdsg.sweep import (ALL_ORDERINGS, Ordering, SolveStatus, SweepConfig,
+from fairdsg.sweep import (ALL_ORDERINGS, SPECTRAL_ALGORITHMS, Ordering,
+                           SolutionRecord, SolveStatus, SweepConfig,
                            candidate_trace, general_sweep, ordering_permutation,
                            paired_sweep, run_algorithm, sweep_eigenvector)
 
@@ -126,7 +131,6 @@ def test_paired_sweep_matches_rescan_oracle():
 def test_run_algorithm_k4_all_variants(k4, k4_rrbb):
     for name in ("ss", "fss", "ps", "fps"):
         rec = run_algorithm(name, k4, k4_rrbb)
-        assert rec.algorithm == name
         assert rec.status is SolveStatus.FOUND
         assert rec.node_set.as_tuple() == (0, 1, 2, 3)
         assert rec.density == 3.0
@@ -142,7 +146,7 @@ def test_algorithm_names_are_checked_case_insensitively(k4, k4_rrbb):
                  lambda *a: sweep_eigenvector(*a, SweepConfig())):
         with pytest.raises(ValueError, match="unknown sweep algorithm 'gsa'"):
             call("GSA", k4, k4_rrbb)
-    assert run_algorithm("FPS", k4, k4_rrbb).algorithm == "fps"
+    assert run_algorithm("FPS", k4, k4_rrbb) == run_algorithm("fps", k4, k4_rrbb)
     # the projected operator serves FSS as it serves fss
     assert np.array_equal(sweep_eigenvector("FSS", k4, k4_rrbb, SweepConfig()),
                           sweep_eigenvector("fss", k4, k4_rrbb, SweepConfig()))
@@ -274,3 +278,43 @@ def test_nan_or_negative_delta_rejected(k4, k4_rrbb):
             general_sweep(k4, k4_rrbb, np.ones(4), delta)
         with pytest.raises(ValueError, match="delta must be non-negative"):
             SweepConfig(delta=delta)
+
+
+def _red_optimum_instance():
+    """A small planted graph with its densest set recoloured red, so 2dfsg
+    has to pad."""
+    g = generate(PlantedParams(n=120, m=20, d=7, eps=0.2, p_bg=0.03, seed=11)).graph
+    optimum = exact_densest_subgraph(g).node_set
+    codes = np.random.default_rng(5).integers(0, 2, size=g.n).astype(np.int8)
+    codes[optimum.members] = RED
+    return g, Coloring(codes), optimum
+
+
+def test_the_library_never_reads_the_clock(monkeypatch):
+    def clock():
+        raise AssertionError("the library read the clock")
+
+    for name in ("perf_counter", "monotonic", "time"):
+        monkeypatch.setattr(time, name, clock)
+    g, c, optimum = _red_optimum_instance()
+    for name in SPECTRAL_ALGORITHMS:
+        assert run_algorithm(name, g, c).size > 0
+        assert candidate_trace(name, g, c)[0].size > 0
+    assert exact_densest_subgraph(g).node_set == optimum
+    assert two_dfsg(g, c, optimum).size > optimum.size
+    assert two_dfsg_candidates(g, c, optimum)[0].size > 1
+    instance = generate(PlantedParams(n=60, m=10, d=5, eps=0.1, p_bg=0.05, seed=3))
+    assert run_recovery(instance).solution.size > 0
+
+
+def test_equal_inputs_give_equal_records():
+    g, c, optimum = _red_optimum_instance()
+    for name in SPECTRAL_ALGORITHMS:
+        assert run_algorithm(name, g, c) == run_algorithm(name, g, c)
+    first = two_dfsg(g, c, optimum)
+    assert first == two_dfsg(g, c, optimum)
+    assert first.status is SolveStatus.FOUND and first.size > optimum.size
+    names = {f.name for f in dataclasses.fields(SolutionRecord)}
+    assert not names & {"algorithm", "runtime_s"}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.density = 0.0
