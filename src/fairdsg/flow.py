@@ -20,11 +20,17 @@ with source side S (minus the source) costs 2 w(E) - |S| (rho(S) - rho),
 so the minimum cut maximizes |S| (rho(S) - rho). Each round sets the sink
 capacities to the density of the current set, and the min cut's source side
 is strictly denser until the current set is optimal.
+
+The network lives in arrays: int64 tail and head and float64 capacity per
+arc, input arc k at 2k and its reverse at 2k + 1, plus a CSR index of the
+arc ids grouped by tail. Max flow is Dinic's algorithm. Each phase takes its
+BFS levels from numpy, one frontier at a time, and selects the admissible
+arcs (residual above the tolerance, one level up); a Python DFS over just
+those arcs finds the phase's blocking flow.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +46,11 @@ def _interleave(a, b) -> np.ndarray:
 
 
 class FlowNetwork:
-    """s-t network with a residual arc-list representation: input arc k,
-    ``tail[k] -> head[k]`` with capacity ``cap[k]``, is stored at index 2k and
-    its residual reverse arc at 2k + 1; each node lists its arcs in order."""
+    """s-t network held in arrays. Input arc k, ``tail[k] -> head[k]`` with
+    capacity ``cap[k]``, is arc 2k; its residual reverse, capacity 0, is arc
+    2k + 1. ``_tail``, ``_head`` (int64) and ``_cap`` (float64) are indexed
+    by arc id. The CSR index groups the arc ids by tail: node u owns
+    ``_by_tail[_offsets[u]:_offsets[u + 1]]``, in arc-id order."""
 
     def __init__(self, n_nodes: int, source: int, sink: int,
                  tail, head, cap):
@@ -63,81 +71,104 @@ class FlowNetwork:
         self.n = n_nodes
         self.source = source
         self.sink = sink
-        self._to: list[int] = _interleave(head, tail).tolist()
-        self._cap: list[float] = _interleave(cap, 0.0).tolist()
-        owner = _interleave(tail, head)
-        arcs = np.argsort(owner, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(owner, minlength=n_nodes)).tolist()
-        self._head: list[list[int]] = [arcs[lo:hi] for lo, hi in zip([0, *ends], ends)]
+        self._tail = _interleave(tail, head)
+        self._head = _interleave(head, tail)
+        self._cap = _interleave(cap, 0.0)
+        self._by_tail = np.argsort(self._tail, kind="stable")
+        self._offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(self._tail, minlength=n_nodes))))
 
     @property
     def num_arcs(self) -> int:
-        return len(self._to) // 2
+        return self._head.size // 2
+
+
+def _levels(net: FlowNetwork, residual: np.ndarray, eps: float) -> np.ndarray:
+    """BFS distance from the source over arcs of residual > eps, one
+    frontier at a time; -1 where unreached. Stops at the first frontier
+    that holds the sink, so when the sink is unreachable every node the
+    source reaches has a level."""
+    level = np.full(net.n, -1, dtype=np.int64)
+    level[net.source] = 0
+    frontier = np.array([net.source])
+    depth = 0
+    while frontier.size and level[net.sink] < 0:
+        lo = net._offsets[frontier]
+        count = net._offsets[frontier + 1] - lo
+        start = np.cumsum(count) - count  # where each node's arcs begin
+        arcs = net._by_tail[np.repeat(lo - start, count) + np.arange(count.sum())]
+        reached = net._head[arcs[residual[arcs] > eps]]
+        reached = reached[level[reached] < 0]
+        depth += 1
+        level[reached] = depth
+        frontier = np.flatnonzero(level == depth)
+    return level
 
 
 def max_flow(net: FlowNetwork) -> tuple[float, NodeSet]:
-    """Exact max flow (Dinic) and the source side of a minimum cut."""
-    to = net._to
-    cap = list(net._cap)  # residual capacities; the network stays reusable
-    head = net._head
+    """Exact max flow (Dinic) and the source side of a minimum cut.
+
+    Each phase computes BFS levels in numpy (``_levels``), then selects the
+    admissible arcs, residual > eps from level k to level k + 1, grouped by
+    tail in CSR order. An iterative DFS over Python lists of just those
+    arcs finds a blocking flow; it keeps each arc's residual and its
+    reverse's, updates both after every augmentation and writes them back
+    when the phase ends. The reverse arcs a phase gains point one level
+    down, so they never become admissible within it: the DFS takes the
+    augmenting paths of a DFS over every arc, in the same order, with the
+    same float operations. The last BFS, which misses the sink, reaches
+    exactly the source side of a minimum cut.
+    """
+    residual = net._cap.copy()  # the network stays reusable
     s, t = net.source, net.sink
-    eps = 1e-12 * max(1.0, max(net._cap, default=0.0))
+    eps = 1e-12 * max(1.0, float(net._cap.max(initial=0.0)))
     total = 0.0
-    level = [-1] * net.n
-
-    def bfs() -> bool:
-        for i in range(net.n):
-            level[i] = -1
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for a in head[u]:
-                v = to[a]
-                if level[v] < 0 and cap[a] > eps:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level[t] >= 0
-
-    while bfs():
-        it = [0] * net.n
-        # iterative DFS for a blocking flow in the level graph
+    while (level := _levels(net, residual, eps))[t] >= 0:
+        lt = level[net._tail]
+        admissible = (lt >= 0) & (level[net._head] == lt + 1) & (residual > eps)
+        keep = admissible[net._by_tail]
+        sel = net._by_tail[keep]
+        back = sel ^ 1
+        # admissible arcs sel[j] of node u are at first[u] <= j < first[u + 1]
+        first = np.concatenate(([0], np.cumsum(keep)))[net._offsets]
+        to = net._head[sel].tolist()
+        fwd = residual[sel].tolist()
+        rev = residual[back].tolist()
+        it = first[:-1].tolist()
+        end = first[1:].tolist()
+        alive = [True] * net.n
         path: list[int] = []
         u = s
         while True:
             if u == t:
-                aug = min(cap[a] for a in path)
-                for a in path:
-                    cap[a] -= aug
-                    cap[a ^ 1] += aug
+                aug = min(fwd[j] for j in path)
+                for j in path:
+                    fwd[j] -= aug
+                    rev[j] += aug
                 total += aug
                 # retreat to just past the first saturated arc
-                for i, a in enumerate(path):
-                    if cap[a] <= eps:
-                        path = path[:i]
+                for i, j in enumerate(path):
+                    if fwd[j] <= eps:
+                        del path[i:]
                         break
                 u = to[path[-1]] if path else s
                 continue
-            advanced = False
-            while it[u] < len(head[u]):
-                a = head[u][it[u]]
-                v = to[a]
-                if cap[a] > eps and level[v] == level[u] + 1:
-                    path.append(a)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if u == s:
-                    break
-                level[u] = -1
-                a = path.pop()
-                u = to[a ^ 1]  # the reverse arc points back at the tail
-
-    # the last BFS found no augmenting path: the nodes it reached from the
-    # source in the residual network are the source side of a minimum cut
-    return total, NodeSet(np.flatnonzero(np.array(level) >= 0))
+            j = it[u]
+            while j < end[u] and not (fwd[j] > eps and alive[to[j]]):
+                j += 1
+            it[u] = j
+            if j < end[u]:
+                path.append(j)
+                u = to[j]
+            elif u == s:
+                break
+            else:  # dead end: no blocking-flow path runs through u
+                alive[u] = False
+                path.pop()
+                u = to[path[-1]] if path else s
+        residual[sel] = fwd
+        residual[back] = rev
+    return total, NodeSet(np.flatnonzero(level >= 0))
 
 
 @dataclass(frozen=True)
@@ -251,7 +282,7 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
         return DensestResult(NodeSet([0]), 0.0, 0)
     kept, core = _densest_core(g)
     # source -> u and u -> sink for every node of positive degree, then both
-    # orientations of every edge; u -> sink is forward arc 2j + 1, at _cap[4j + 2]
+    # orientations of every edge; u -> sink is input arc 2j + 1, at _cap[4j + 2]
     source, sink = core.n, core.n + 1
     nodes = np.flatnonzero(core.degrees > 0.0)
     tail = np.concatenate([_interleave(source, nodes),
@@ -266,7 +297,7 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
     rho = density(core, best)
     iterations = 0
     while True:
-        net._cap[sink_arcs] = [rho] * nodes.size
+        net._cap[sink_arcs] = rho
         _, side = max_flow(net)
         iterations += 1
         chosen = NodeSet(side.members[side.members < core.n])

@@ -17,8 +17,7 @@ import numpy as np
 RED = 0
 BLUE = 1
 
-_CODE_OF_LABEL = {"R": RED, "B": BLUE}
-_LABEL_OF_CODE = {RED: "R", BLUE: "B"}
+_LABELS = "RB"  # the label of each color code
 
 
 class Coloring:
@@ -43,15 +42,21 @@ class Coloring:
         return int(self.codes.size)
 
     @classmethod
-    def from_labels(cls, labels: Iterable[str]) -> "Coloring":
-        """Build from 'R'/'B' characters, e.g. the string ``"RRBB"``."""
-        try:
-            return cls([_CODE_OF_LABEL[ch] for ch in labels])
-        except KeyError as exc:
-            raise ValueError(f"unknown color label {exc.args[0]!r}") from None
+    def from_labels(cls, labels: str | Iterable[str]) -> "Coloring":
+        """Build from 'R'/'B' characters, e.g. the string ``"RRBB"``; the
+        error names the first character that is neither."""
+        text = labels if isinstance(labels, str) else "".join(labels)
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        blue = points == ord(_LABELS[BLUE])
+        unknown = ~blue & (points != ord(_LABELS[RED]))
+        if unknown.any():
+            bad = chr(points[np.argmax(unknown)])
+            raise ValueError(f"unknown color label {bad!r}")
+        return cls(blue.astype(np.int8))
 
     def labels(self) -> str:
-        return "".join(_LABEL_OF_CODE[int(c)] for c in self.codes)
+        table = np.frombuffer(_LABELS.encode("ascii"), dtype=np.uint8)
+        return table[self.codes].tobytes().decode("ascii")
 
     def red_mask(self) -> np.ndarray:
         return self.codes == RED

@@ -24,7 +24,12 @@ import numpy as np
 
 from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
 from .spectral import spectral_profile
-from .sweep import SolutionRecord, SweepConfig, general_sweep, sweep_eigenvector
+from .sweep import (SPECTRAL_ALGORITHMS, SolutionRecord, SweepConfig,
+                    general_sweep, sweep_eigenvector)
+
+# the sweeps the recovery experiment runs: the general (unpaired) ones
+RECOVERY_ALGORITHMS = tuple(name for name, (_, paired) in SPECTRAL_ALGORITHMS.items()
+                            if not paired)
 
 # planted-subgraph samples drawn before giving up on the degree window
 _MAX_RETRIES = 100
@@ -216,7 +221,7 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
                  delta_policy: str | float = "bound", *, eig_tol: float = 1e-8,
                  eig_max_iters: int = 100_000) -> RecoveryReport:
     """Theoretical sweep on a generated instance, with both bound checks."""
-    if algorithm not in ("fss", "ss"):
+    if algorithm not in RECOVERY_ALGORITHMS:
         raise ValueError("recovery sweep supports 'fss' (projected) or 'ss' (raw)")
     g, c = instance.graph, instance.coloring
     meas = instance.measured

@@ -7,17 +7,20 @@ subset/cut enumeration instead of flow, a full prefix re-scan instead
 of the incremental sweep and the 2dfsg prefix sums, a quadratic dominance
 filter instead of the sorted Pareto front, per-token Python parsing instead
 of numpy's text reader, a per-node stack peel instead of the batched first
-wave, and one argsort of every arc instead of the reverse-arc merge.
+wave, one argsort of every arc instead of the reverse-arc merge, and a
+Dinic over per-node arc lists, with a Python BFS and a DFS over every arc,
+instead of the array network's numpy BFS and admissible-arc DFS.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
-from fairdsg.flow import _DROP_SLACK, _padding, _peel_lower_bound
+from fairdsg.flow import _DROP_SLACK, _interleave, _padding, _peel_lower_bound
 from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
                            induced_subgraph)
 from fairdsg.ingest import IngestError
@@ -178,6 +181,108 @@ def brute_min_cut(n: int, source: int, sink: int,
             value = sum(cap for u, v, cap in arcs if u in s_side and v not in s_side)
             best = min(best, value)
     return float(best)
+
+
+class ListFlowNetwork:
+    """``fairdsg.flow.FlowNetwork`` as Python lists: input arc k,
+    ``tail[k] -> head[k]`` with capacity ``cap[k]``, is stored at index 2k and
+    its residual reverse arc at 2k + 1; each node lists its arcs in order."""
+
+    def __init__(self, n_nodes: int, source: int, sink: int,
+                 tail, head, cap):
+        if n_nodes < 2:
+            raise ValueError("a flow network needs at least source and sink")
+        if not (0 <= source < n_nodes and 0 <= sink < n_nodes):
+            raise ValueError("source/sink ids out of range")
+        if source == sink:
+            raise ValueError("source and sink must differ")
+        tail, head = np.asarray(tail, dtype=np.int64), np.asarray(head, dtype=np.int64)
+        cap = np.asarray(cap, dtype=np.float64)
+        unknown = (tail < 0) | (tail >= n_nodes) | (head < 0) | (head >= n_nodes)
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            raise ValueError(f"arc ({tail[k]}, {head[k]}) references an unknown node")
+        if (cap < 0).any():
+            raise ValueError("capacities must be non-negative")
+        self.n = n_nodes
+        self.source = source
+        self.sink = sink
+        self._to: list[int] = _interleave(head, tail).tolist()
+        self._cap: list[float] = _interleave(cap, 0.0).tolist()
+        owner = _interleave(tail, head)
+        arcs = np.argsort(owner, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(owner, minlength=n_nodes)).tolist()
+        self._head: list[list[int]] = [arcs[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+    @property
+    def num_arcs(self) -> int:
+        return len(self._to) // 2
+
+
+def list_max_flow(net: ListFlowNetwork) -> tuple[float, NodeSet]:
+    """Exact max flow (Dinic) and the source side of a minimum cut, with a
+    Python BFS and DFS over every arc of every node."""
+    to = net._to
+    cap = list(net._cap)  # residual capacities; the network stays reusable
+    head = net._head
+    s, t = net.source, net.sink
+    eps = 1e-12 * max(1.0, max(net._cap, default=0.0))
+    total = 0.0
+    level = [-1] * net.n
+
+    def bfs() -> bool:
+        for i in range(net.n):
+            level[i] = -1
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for a in head[u]:
+                v = to[a]
+                if level[v] < 0 and cap[a] > eps:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level[t] >= 0
+
+    while bfs():
+        it = [0] * net.n
+        # iterative DFS for a blocking flow in the level graph
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                aug = min(cap[a] for a in path)
+                for a in path:
+                    cap[a] -= aug
+                    cap[a ^ 1] += aug
+                total += aug
+                # retreat to just past the first saturated arc
+                for i, a in enumerate(path):
+                    if cap[a] <= eps:
+                        path = path[:i]
+                        break
+                u = to[path[-1]] if path else s
+                continue
+            advanced = False
+            while it[u] < len(head[u]):
+                a = head[u][it[u]]
+                v = to[a]
+                if cap[a] > eps and level[v] == level[u] + 1:
+                    path.append(a)
+                    u = v
+                    advanced = True
+                    break
+                it[u] += 1
+            if not advanced:
+                if u == s:
+                    break
+                level[u] = -1
+                a = path.pop()
+                u = to[a ^ 1]  # the reverse arc points back at the tail
+
+    # the last BFS found no augmenting path: the nodes it reached from the
+    # source in the residual network are the source side of a minimum cut
+    return total, NodeSet(np.flatnonzero(np.array(level) >= 0))
 
 
 def _orderings_keys(v: np.ndarray):

@@ -201,6 +201,27 @@ def test_run_ss_on_all_red_graph_reports_no_feasible_prefix(tmp_path):
     assert rows[0]["fair"] == "false"
 
 
+
+def test_run_oracle_rejects_a_large_graph_before_any_solve(tmp_path, capsys,
+                                                          monkeypatch):
+    import fairdsg.cli as cli
+    from fairdsg.oracle import ORACLE_MAX_N
+
+    def no_solve(g):
+        raise AssertionError("exact solve ran before the oracle size check")
+
+    monkeypatch.setattr(cli, "exact_densest_subgraph", no_solve)
+    n = ORACLE_MAX_N + 1
+    path = tmp_path / "big.el"
+    save_edgelist(LabeledGraph.from_edges(n, [(u, u + 1) for u in range(n - 1)]),
+                  Coloring.from_labels("RB" * (n // 2) + "R" * (n % 2)), str(path))
+    out = tmp_path / "o.csv"
+    assert main(["run", "--input", str(path), "--algorithm", "oracle",
+                 "--out", str(out)]) == 2
+    assert f"oracle supports at most {ORACLE_MAX_N} nodes, got {n}" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
 def test_zero_optimum_is_data_error(tmp_path):
     g = LabeledGraph.from_edges(2, [])
     c = Coloring.from_labels("RB")

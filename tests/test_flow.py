@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,9 @@ from fairdsg.oracle import brute_force_densest
 from fairdsg.sweep import SolveStatus
 
 from conftest import random_coloring, random_graph
-from oracles import (brute_densest_subsets, brute_largest_densest, brute_min_cut,
-                     dense_adjacency, stack_peel_core, two_dfsg_prefixes)
+from oracles import (ListFlowNetwork, brute_densest_subsets, brute_largest_densest,
+                     brute_min_cut, dense_adjacency, list_max_flow, stack_peel_core,
+                     two_dfsg_prefixes)
 
 
 def _network(n, source, sink, arcs):
@@ -85,6 +87,100 @@ def test_flow_network_validation():
     with pytest.raises(ValueError, match="non-negative"):
         _network(3, 0, 2, [(0, 1, 1.0), (0, 1, -2.0)])
 
+
+
+# zero, integer, dyadic and arbitrary capacities, and ones below the solver's
+# 1e-12 tolerance
+_CAPS = st.one_of(st.just(0.0), st.integers(1, 9).map(float),
+                  st.integers(1, 99).map(lambda k: k / 8.0),
+                  st.floats(0.0, 10.0), st.floats(1e-15, 1e-11))
+
+
+@st.composite
+def flow_networks(draw):
+    """(n, source, sink, arcs): random arcs plus parallel copies, reversed
+    copies, arcs into the source and out of the sink; sometimes every arc
+    into the sink has capacity 0, so the sink is unreachable."""
+    n = draw(st.integers(2, 8))
+    source, sink = draw(st.permutations(range(n)))[:2]
+    node = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(node, node, _CAPS), max_size=20))
+    picks = st.lists(st.sampled_from(arcs), max_size=4) if arcs else st.just([])
+    arcs += draw(picks)
+    arcs += [(v, u, draw(_CAPS)) for u, v, _ in draw(picks)]
+    arcs += draw(st.lists(st.tuples(node, st.just(source), _CAPS), max_size=2))
+    arcs += draw(st.lists(st.tuples(st.just(sink), node, _CAPS), max_size=2))
+    if draw(st.booleans()):
+        arcs = [(u, v, 0.0 if v == sink else c) for u, v, c in arcs]
+    order = draw(st.permutations(range(len(arcs))))
+    return n, source, sink, [arcs[i] for i in order]
+
+
+@settings(max_examples=400, deadline=None)
+@given(flow_networks())
+def test_max_flow_matches_the_list_dinic_bit_for_bit(case):
+    n, source, sink, arcs = case
+    net = _network(n, source, sink, arcs)
+    tail, head, cap = zip(*arcs) if arcs else ((), (), ())
+    expected = list_max_flow(ListFlowNetwork(n, source, sink, tail, head, cap))
+    for _ in range(2):  # a solve leaves the network as it was
+        value, side = max_flow(net)
+        assert value == expected[0]
+        assert side == expected[1]
+
+
+
+def test_max_flow_matches_the_list_dinic_on_larger_networks():
+    # enough arcs per node that their order within a node decides the
+    # augmenting paths, and so the last bits of a sum of uniform capacities
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        n = int(rng.integers(30, 60))
+        tail, head = rng.integers(0, n, 8 * n), rng.integers(0, n, 8 * n)
+        cap = rng.random(8 * n) * np.where(rng.random(8 * n) < 0.1, 0.0, 3.0)
+        expected = list_max_flow(ListFlowNetwork(n, 0, 1, tail, head, cap))
+        assert max_flow(FlowNetwork(n, 0, 1, tail, head, cap)) == expected
+
+def test_max_flow_on_a_layered_network_with_dead_ends():
+    # s = 0, t = 1; unit paths of 2, 3, 4 and 5 arcs take one phase each,
+    # and the dead ends 12 -> 13 and 3 -> 14 (no arc onward) make the DFS
+    # retreat in the phases that label them below the sink
+    paths = [[0, 2, 1], [0, 3, 4, 1], [0, 5, 6, 7, 1], [0, 8, 9, 10, 11, 1]]
+    arcs = [(0, 12, 1.0), (12, 13, 1.0), (3, 14, 1.0)]
+    arcs += [(u, v, 1.0) for p in paths for u, v in zip(p, p[1:])]
+    arcs += [(4, 3, 1.0), (10, 5, 0.5)]  # arcs that point back up a layer
+    n = 15
+    net = _network(n, 0, 1, arcs)
+    with mock.patch.object(flow, "_levels", wraps=flow._levels) as levels:
+        value, side = max_flow(net)
+    assert levels.call_count == 5  # four phases and the BFS that misses t
+    assert value == brute_min_cut(n, 0, 1, arcs) == 4.0
+    tail, head, cap = zip(*arcs)
+    assert (value, side) == list_max_flow(ListFlowNetwork(n, 0, 1, tail, head, cap))
+    assert side.as_tuple() == (0, 12, 13)
+    assert sum(c for u, v, c in arcs if u in side and v not in side) == value
+
+
+
+def test_max_flow_reroutes_along_a_reverse_arc():
+    # s = 0, t = 5: the first phase sends s -> 1 -> 2 -> t, which blocks
+    # s -> 3 -> 2 -> t; the second unit needs the reverse arc 2 -> 1 to reach
+    # 1 -> 4 -> t along s -> 3 -> 2 -> 1 -> 4 -> t
+    arcs = [(0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (3, 2, 1.0), (2, 5, 1.0),
+            (1, 4, 1.0), (4, 5, 1.0)]
+    value, side = max_flow(_network(6, 0, 5, arcs))
+    assert value == brute_min_cut(6, 0, 5, arcs) == 2.0
+    assert side.as_tuple() == (0,)
+
+def test_max_flow_keeps_the_benchmark_tracers_contract():
+    # perfbench/tracer.py binds max_flow by name, takes its argument by the
+    # name ``net`` and reads these attributes of it
+    assert list(inspect.signature(max_flow).parameters) == ["net"]
+    net = _network(3, 0, 2, [(0, 1, 1.5), (1, 2, 2.0), (2, 0, 1.0)])
+    assert (net.num_arcs, net.source, net.sink) == (3, 0, 2)
+    value, side = max_flow(net)
+    assert (value, side) == (1.5, NodeSet([0]))
+    assert [u for u in side if u not in (net.source, net.sink)] == []
 
 def test_exact_densest_clique_with_pendant():
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(3, 4)]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance,
+from fairdsg.graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
                            color_counts, density, imbalance, induced_subgraph,
                            is_fair)
 
@@ -292,6 +292,36 @@ def test_coloring_counts_and_labels():
     with pytest.raises(ValueError, match="unknown color label"):
         Coloring.from_labels("RBX")
 
+
+
+# mostly labels, with lower case, other ASCII, non-ASCII letters, a
+# character outside the BMP and a lone surrogate mixed in
+_LABEL_CHARS = st.one_of(st.sampled_from("RB"), st.sampled_from("RB"),
+                         st.sampled_from(["r", "b", "X", " ", "\x00", "\xd2",
+                                          "\u0392", "\U0001f7e5", "\ud800"]),
+                         st.characters())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LABEL_CHARS, max_size=40), st.booleans())
+def test_from_labels_matches_the_per_character_reference(chars, as_list):
+    text = "".join(chars)
+    codes, bad = [], None
+    for ch in text:
+        if ch not in ("R", "B"):
+            bad = ch
+            break
+        codes.append(RED if ch == "R" else BLUE)
+    labels = list(text) if as_list else text
+    if bad is not None:
+        with pytest.raises(ValueError) as exc:
+            Coloring.from_labels(labels)
+        assert str(exc.value) == f"unknown color label {bad!r}"
+    else:
+        c = Coloring.from_labels(labels)
+        assert c.codes.dtype == np.int8 and c.codes.tolist() == codes
+        assert (c.n_red, c.n_blue) == (codes.count(RED), codes.count(BLUE))
+        assert c.labels() == "".join("R" if k == RED else "B" for k in codes)
 
 def test_color_counts_on_subset():
     c = Coloring.from_labels("RRBBB")

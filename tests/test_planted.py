@@ -140,8 +140,13 @@ def test_vacuous_report_when_hypotheses_fail():
 def test_recovery_rejects_unknown_algorithm():
     params = PlantedParams(n=30, m=10, d=9, eps=0.0, p_bg=0.0, seed=5)
     inst = generate(params)
-    with pytest.raises(ValueError):
-        run_recovery(inst, algorithm="fps")
+    # the general (unpaired) sweeps of SPECTRAL_ALGORITHMS, and only those
+    for name in ("fps", "ps", "2dfsg", "exact", "FSS"):
+        with pytest.raises(ValueError, match=r"^recovery sweep supports 'fss' "
+                                             r"\(projected\) or 'ss' \(raw\)$"):
+            run_recovery(inst, algorithm=name)
+    for name in ("fss", "ss"):
+        assert run_recovery(inst, algorithm=name).solution.size > 0
 
 
 def _candidate_pairs(n, m):
