@@ -21,8 +21,7 @@ from .spectral import (ConvergenceError, EigenPair, ProjectedOperator,
                        SpectralProfile, dominant_eigenpair, fairness_vector,
                        second_eigenvalue, spectral_profile)
 from .sweep import (ALL_ORDERINGS, Ordering, SolutionRecord, SolveStatus,
-                    SweepConfig, candidate_trace, general_sweep, paired_sweep,
-                    run_algorithm)
+                    candidate_trace, general_sweep, paired_sweep, run_algorithm)
 from .flow import (DensestResult, FlowNetwork, exact_densest_subgraph,
                    max_flow, two_dfsg)
 from .oracle import ORACLE_MAX_N, OracleResult, brute_force_densest
@@ -38,7 +37,7 @@ __all__ = [
     "ConvergenceError", "EigenPair", "ProjectedOperator", "SpectralProfile",
     "dominant_eigenpair", "fairness_vector", "second_eigenvalue",
     "spectral_profile",
-    "ALL_ORDERINGS", "Ordering", "SolutionRecord", "SolveStatus", "SweepConfig",
+    "ALL_ORDERINGS", "Ordering", "SolutionRecord", "SolveStatus",
     "candidate_trace", "general_sweep", "paired_sweep", "run_algorithm",
     "DensestResult", "FlowNetwork", "exact_densest_subgraph", "max_flow",
     "two_dfsg",

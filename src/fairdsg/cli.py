@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import functools
+import math
 import os
 import re
 import sys
 import time
+from dataclasses import asdict, fields
 
 from . import __version__
 from .flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
@@ -25,12 +27,11 @@ from .ingest import (LINE_BREAK, IngestError, build_product_graph,
                      parse_gml, polbooks_graph, save_edgelist)
 from .oracle import ORACLE_MAX_N, brute_force_densest
 from .planted import RECOVERY_ALGORITHMS, PlantedParams, generate, run_recovery
-from .report import (RESULT_FIELDS, RunManifest, format_float,
-                     normalized_density, pareto_front, read_csv, result_row,
-                     summarize, write_csv)
-from .spectral import ConvergenceError
-from .sweep import (SPECTRAL_ALGORITHMS, SolveStatus, SweepConfig,
-                    candidate_trace, make_record, run_algorithm)
+from .report import (RunManifest, SummaryRow, format_float, normalized_density,
+                     pareto_front, read_csv, result_row, summarize, write_csv)
+from .spectral import MAX_MATVECS, TOL, ConvergenceError
+from .sweep import (SPECTRAL_ALGORITHMS, SolveStatus, candidate_trace,
+                    make_record, run_algorithm)
 
 RUN_ALGORITHMS = (*SPECTRAL_ALGORITHMS, "2dfsg", "exact", "oracle")
 
@@ -45,9 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_eig_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=TOL,
                    help="eigensolver relative-residual tolerance")
-    p.add_argument("--max-iters", type=int, default=100_000,
+    p.add_argument("--max-iters", type=int, default=MAX_MATVECS,
                    help="eigensolver matvec cap")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default: $FAIRDSG_SEED or 0)")
@@ -139,8 +140,8 @@ def _manifest(args, command: str, inputs: list[str], *, algorithm: str | None = 
     return RunManifest(
         command=command, argv=tuple(args._argv), inputs=tuple(inputs),
         algorithm=algorithm, delta=delta,
-        tol=getattr(args, "tol", 1e-8),
-        max_iters=getattr(args, "max_iters", 100_000),
+        tol=getattr(args, "tol", TOL),
+        max_iters=getattr(args, "max_iters", MAX_MATVECS),
         seed=seed, version=__version__)
 
 
@@ -185,9 +186,8 @@ def _cmd_ingest_amazon(args) -> int:
         index_rows.append({
             "pair": pair.name, "red_category": pair.red_category,
             "blue_category": pair.blue_category, "file": f"{slug}.el",
-            "n": str(pair.graph.n), "n_red": str(pair.coloring.n_red),
-            "n_blue": str(pair.coloring.n_blue),
-            "edges": str(pair.graph.num_edges)})
+            "n": pair.graph.n, "n_red": pair.coloring.n_red,
+            "n_blue": pair.coloring.n_blue, "edges": pair.graph.num_edges})
     index_path = os.path.join(args.out_dir, "index.csv")
     with open(index_path, "w", encoding="utf-8") as handle:
         write_csv(handle, ["pair", "red_category", "blue_category", "file",
@@ -211,9 +211,8 @@ def _cmd_run(args) -> int:
     if name not in ("2dfsg", "exact"):
         t0 = time.perf_counter()
     if name in SPECTRAL_ALGORITHMS:
-        cfg = SweepConfig(delta=args.delta, tol=args.tol,
-                          max_iters=args.max_iters, seed=seed)
-        record = run_algorithm(name, g, c, cfg)
+        record = run_algorithm(name, g, c, delta=args.delta, tol=args.tol,
+                               max_iters=args.max_iters, seed=seed)
     elif name == "2dfsg":
         record = two_dfsg(g, c, optimum.node_set)
     elif name == "exact":
@@ -229,7 +228,7 @@ def _cmd_run(args) -> int:
     row = result_row(name, record, instance=args.input, g=g, c=c, normalized=nd,
                      seed=seed, runtime_s=runtime_s if args.timings == "wall" else None)
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_csv(handle, RESULT_FIELDS, [row], manifest)
+        write_csv(handle, list(row), [row], manifest)
     print(f"{name}: status={record.status.value} size={record.size} "
           f"density={format_float(record.density)} "
           f"balance={format_float(record.balance)} "
@@ -237,20 +236,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-PLANTED_FIELDS = [
-    "seed", "seed_used", "n", "m", "d", "eps", "p_bg",
-    "hypotheses_hold", "vacuous", "lambda1", "lambda2", "lambda_n", "lambda",
-    "d_max", "theta", "eps_measured", "delta", "sol_size", "sol_density",
-    "error", "error_bound", "error_ok", "chi_dist_sq", "chi_bound", "chi_ok",
-]
-
 # distinct instances stay distinct while retrying hypotheses
 _RETRY_STRIDE = 1_000_003
 
 
-def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, str]:
-    """One report row of ``planted``: the instance drawn from ``base_seed``
-    (re-drawn while --require-hypotheses fails) and its recovery."""
+def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, object]:
+    """One ``planted`` row, keyed by column in order: the instance drawn from
+    ``base_seed`` (re-drawn while --require-hypotheses fails), its recovery."""
     attempts = 100 if args.require_hypotheses else 1
     instance = None
     seed_used = base_seed
@@ -277,27 +269,17 @@ def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, s
                           eig_tol=args.tol, eig_max_iters=args.max_iters)
     meas = instance.measured
     return {
-        "seed": str(base_seed), "seed_used": str(seed_used),
-        "n": str(args.n), "m": str(args.m), "d": str(args.d),
-        "eps": format_float(args.eps), "p_bg": format_float(args.p_bg),
-        "hypotheses_hold": str(meas.hypotheses_hold).lower(),
-        "vacuous": str(report.vacuous).lower(),
-        "lambda1": format_float(meas.lambda1),
-        "lambda2": format_float(meas.lambda2),
-        "lambda_n": format_float(meas.lambda_n),
-        "lambda": format_float(meas.lam),
-        "d_max": format_float(meas.d_max),
-        "theta": format_float(meas.theta),
-        "eps_measured": format_float(meas.eps_measured),
-        "delta": format_float(report.delta),
-        "sol_size": str(report.solution.size),
-        "sol_density": format_float(report.solution.density),
-        "error": str(report.error),
-        "error_bound": format_float(report.error_bound),
-        "error_ok": str(report.error_ok).lower(),
-        "chi_dist_sq": format_float(report.chi_dist_sq),
-        "chi_bound": format_float(report.chi_bound),
-        "chi_ok": str(report.chi_ok).lower(),
+        "seed": base_seed, "seed_used": seed_used, "n": args.n, "m": args.m,
+        "d": args.d, "eps": args.eps, "p_bg": args.p_bg,
+        "hypotheses_hold": meas.hypotheses_hold, "vacuous": report.vacuous,
+        "lambda1": meas.lambda1, "lambda2": meas.lambda2,
+        "lambda_n": meas.lambda_n, "lambda": meas.lam, "d_max": meas.d_max,
+        "theta": meas.theta, "eps_measured": meas.eps_measured,
+        "delta": report.delta, "sol_size": report.solution.size,
+        "sol_density": report.solution.density, "error": report.error,
+        "error_bound": report.error_bound, "error_ok": report.error_ok,
+        "chi_dist_sq": report.chi_dist_sq, "chi_bound": report.chi_bound,
+        "chi_ok": report.chi_ok,
     }
 
 
@@ -325,9 +307,9 @@ def _cmd_planted(args) -> int:
         rows = list(map(row, seeds))
     manifest = _manifest(args, "planted", [], algorithm=args.algorithm, seed=base)
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_csv(handle, PLANTED_FIELDS, rows, manifest)
-    held = sum(1 for r in rows if r["hypotheses_hold"] == "true")
-    ok = sum(1 for r in rows if r["error_ok"] == "true" and r["chi_ok"] == "true")
+        write_csv(handle, list(rows[0]), rows, manifest)
+    held = sum(r["hypotheses_hold"] for r in rows)
+    ok = sum(r["error_ok"] and r["chi_ok"] for r in rows)
     print(f"planted: instances={len(rows)} hypotheses_hold={held} both_bounds_ok={ok}")
     return 0
 
@@ -349,13 +331,12 @@ def _cmd_pareto(args) -> int:
         if name == "2dfsg":
             size, dens, bal = two_dfsg_candidates(g, c, optimum)
         else:
-            cfg = SweepConfig(tol=args.tol, max_iters=args.max_iters, seed=seed)
-            size, dens, bal = candidate_trace(name, g, c, cfg)
+            size, dens, bal = candidate_trace(name, g, c, tol=args.tol,
+                                              max_iters=args.max_iters, seed=seed)
         front = pareto_front(dens, bal, size)
         for s, d, b in zip(size[front].tolist(), dens[front].tolist(),
                            bal[front].tolist()):
-            rows.append({"algorithm": name, "density": format_float(d),
-                         "balance": format_float(b), "size": str(s)})
+            rows.append({"algorithm": name, "density": d, "balance": b, "size": s})
     manifest = _manifest(args, "pareto", [args.input], seed=seed)
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, ["algorithm", "density", "balance", "size"], rows, manifest)
@@ -376,26 +357,23 @@ def _cmd_summary(args) -> int:
                 if not algorithm or nd is None or status is None:
                     raise ValueError("not a run CSV (needs algorithm, "
                                      "normalized_density and status columns)")
-                entries.append((algorithm, float(nd),
-                                status != SolveStatus.FOUND.value))
+                value = float(nd)
+                if not 0.0 <= value < math.inf:
+                    raise ValueError(f"normalized_density must be a finite number "
+                                     f">= 0, got {nd!r}")
+                entries.append((algorithm, value, status != SolveStatus.FOUND.value))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not entries:
         raise ValueError("no result rows found in the input files")
     manifest = _manifest(args, "summary", list(args.input))
-    out_rows = [{
-        "algorithm": s.algorithm, "runs": str(s.runs),
-        "pct_unfair": format_float(s.pct_unfair),
-        "nd_median": format_float(s.nd_median),
-        "nd_q1": format_float(s.nd_q1),
-        "nd_q3": format_float(s.nd_q3),
-    } for s in summarize(entries)]
+    summary = summarize(entries)
     with open(args.out, "w", encoding="utf-8") as handle:
-        write_csv(handle, ["algorithm", "runs", "pct_unfair", "nd_median",
-                           "nd_q1", "nd_q3"], out_rows, manifest)
-    for row in out_rows:
-        print(f"{row['algorithm']}: runs={row['runs']} "
-              f"pct_unfair={row['pct_unfair']} nd_median={row['nd_median']}")
+        write_csv(handle, [f.name for f in fields(SummaryRow)],
+                  map(asdict, summary), manifest)
+    for s in summary:
+        print(f"{s.algorithm}: runs={s.runs} pct_unfair={format_float(s.pct_unfair)} "
+              f"nd_median={format_float(s.nd_median)}")
     return 0
 
 
@@ -410,8 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except (IngestError, ConvergenceError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IngestError, ConvergenceError, OSError, ValueError, MemoryError) as exc:
+        # a MemoryError from numpy names the allocation, a bare one is empty
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
-from .spectral import spectral_profile
-from .sweep import (SPECTRAL_ALGORITHMS, SolutionRecord, SweepConfig,
-                    general_sweep, sweep_eigenvector)
+from .spectral import MAX_MATVECS, TOL, spectral_profile
+from .sweep import SPECTRAL_ALGORITHMS, SolutionRecord, general_sweep, sweep_eigenvector
 
 # the sweeps the recovery experiment runs: the general (unpaired) ones
 RECOVERY_ALGORITHMS = tuple(name for name, (_, paired) in SPECTRAL_ALGORITHMS.items()
@@ -151,8 +150,8 @@ def _background_pairs(rng: np.random.Generator, n: int, m: int,
     return np.column_stack([i, first[i] + (idx - offsets[i])])
 
 
-def generate(params: PlantedParams, *, eig_tol: float = 1e-8,
-             eig_max_iters: int = 100_000) -> PlantedInstance:
+def generate(params: PlantedParams, *, eig_tol: float = TOL,
+             eig_max_iters: int = MAX_MATVECS) -> PlantedInstance:
     """Sample an instance and measure its recovery hypotheses.
 
     Construction happens on working ids (planted nodes 0..m-1), with
@@ -218,8 +217,8 @@ class RecoveryReport:
 
 
 def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
-                 delta_policy: str | float = "bound", *, eig_tol: float = 1e-8,
-                 eig_max_iters: int = 100_000) -> RecoveryReport:
+                 delta_policy: str | float = "bound", *, eig_tol: float = TOL,
+                 eig_max_iters: int = MAX_MATVECS) -> RecoveryReport:
     """Theoretical sweep on a generated instance, with both bound checks."""
     if algorithm not in RECOVERY_ALGORITHMS:
         raise ValueError("recovery sweep supports 'fss' (projected) or 'ss' (raw)")
@@ -229,8 +228,8 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
         delta = 16.0 * (meas.eps_measured + meas.theta)
     else:
         delta = float(delta_policy)
-    vector = sweep_eigenvector(algorithm, g, c, SweepConfig(
-        tol=eig_tol, max_iters=eig_max_iters, seed=instance.params.seed))
+    vector = sweep_eigenvector(algorithm, g, c, tol=eig_tol, max_iters=eig_max_iters,
+                               seed=instance.params.seed)
     solution = general_sweep(g, c, vector, delta)
 
     m = instance.planted_set.size
@@ -250,8 +249,8 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
 
 def recovery_experiment(params: PlantedParams, algorithm: str = "fss",
                         delta_policy: str | float = "bound", *,
-                        eig_tol: float = 1e-8,
-                        eig_max_iters: int = 100_000) -> RecoveryReport:
+                        eig_tol: float = TOL,
+                        eig_max_iters: int = MAX_MATVECS) -> RecoveryReport:
     """Generate an instance from ``params`` and run the recovery sweep on it."""
     instance = generate(params, eig_tol=eig_tol, eig_max_iters=eig_max_iters)
     return run_recovery(instance, algorithm, delta_policy,

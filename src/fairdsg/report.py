@@ -1,8 +1,12 @@
 """Pareto fronts, normalized density, per-algorithm summaries, CSV plumbing.
 
 Failed runs (status other than Found) receive normalized density 0 and are
-the ones counted as unfair in summaries. Floats in CSV output use 9
-significant digits, which re-parses well within 1e-9.
+the ones counted as unfair in summaries.
+
+Rows hold raw values, and :func:`write_csv` alone turns each into a cell:
+None is empty, a bool (numpy's too) is ``true`` or ``false``, a float has 9
+significant digits (:func:`format_float`, which re-parses well within 1e-9),
+an Enum is its value, and anything else is its ``str``.
 """
 
 from __future__ import annotations
@@ -10,19 +14,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, fields
+from enum import Enum
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
 from .graph import Coloring, LabeledGraph
 from .sweep import SolutionRecord, SolveStatus
-
-RESULT_FIELDS = [
-    "algorithm", "instance", "n", "n_red", "n_blue", "edges",
-    "sol_size", "sol_red", "sol_blue", "density", "balance",
-    "normalized_density", "fair", "status", "runtime_ms", "seed",
-]
-
 
 def format_float(x: float) -> str:
     return f"{x:.9g}"
@@ -129,37 +127,41 @@ class RunManifest:
 
 def result_row(algorithm: str, record: SolutionRecord, *, instance: str,
                g: LabeledGraph, c: Coloring, normalized: float, seed: int,
-               runtime_s: float | None = None) -> dict[str, str]:
-    """One run-CSV row; ``runtime_ms`` is empty unless ``runtime_s`` is given."""
+               runtime_s: float | None = None) -> dict[str, object]:
+    """One run-CSV row, keyed by column in order; ``runtime_ms`` is empty
+    unless ``runtime_s`` is given."""
     return {
-        "algorithm": algorithm,
-        "instance": instance,
-        "n": str(g.n),
-        "n_red": str(c.n_red),
-        "n_blue": str(c.n_blue),
-        "edges": str(g.num_edges),
-        "sol_size": str(record.size),
-        "sol_red": str(record.n_red_in_s),
-        "sol_blue": str(record.n_blue_in_s),
-        "density": format_float(record.density),
-        "balance": format_float(record.balance),
-        "normalized_density": format_float(normalized),
-        "fair": "true" if record.fair else "false",
-        "status": record.status.value,
-        "runtime_ms": "" if runtime_s is None else format_float(runtime_s * 1000.0),
-        "seed": str(seed),
+        "algorithm": algorithm, "instance": instance,
+        "n": g.n, "n_red": c.n_red, "n_blue": c.n_blue, "edges": g.num_edges,
+        "sol_size": record.size, "sol_red": record.n_red_in_s,
+        "sol_blue": record.n_blue_in_s, "density": record.density,
+        "balance": record.balance, "normalized_density": normalized,
+        "fair": record.fair, "status": record.status,
+        "runtime_ms": None if runtime_s is None else runtime_s * 1000.0,
+        "seed": seed,
     }
 
 
+def _cell(value: object) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, Enum):
+        return value.value
+    return "" if value is None else str(value)
+
+
 def write_csv(out: IO[str], fieldnames: list[str],
-              rows: Iterable[Mapping[str, str]],
+              rows: Iterable[Mapping[str, object]],
               manifest: RunManifest | None = None) -> None:
+    """The manifest comment, a header and the rows, cells by the module's rule."""
     if manifest is not None:
         out.write(f"# {manifest.to_comment()}\n")
     writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow(row)
+        writer.writerow({name: _cell(value) for name, value in row.items()})
 
 
 def read_csv(source: IO[str]) -> tuple[RunManifest | None, list[dict[str, str]]]:

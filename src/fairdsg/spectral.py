@@ -45,7 +45,8 @@ class EigenPair:
     """Converged eigenpair: unit ``vector`` with a positive first nonzero entry.
 
     ``residual`` is the absolute ||op(v) - value * v|| of a fresh product,
-    at most tol * max(|value|, 1); ``iterations`` counts the solve's matvecs.
+    at most tol * max(|value|, 1, d_max * 2^-52); ``iterations`` counts the
+    solve's matvecs.
     """
 
     value: float
@@ -92,6 +93,11 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if visible.size and v[visible[0]] < 0 else v
 
 
+#: Default eigensolver settings: the relative-residual tolerance and the
+#: matvec cap of every solve.
+TOL = 1e-8
+MAX_MATVECS = 100_000
+
 # Lanczos steps between explicit restarts from the Ritz vector
 _RESTART = 30
 
@@ -103,12 +109,16 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     Lanczos with full reorthogonalization, restarted after ``_RESTART`` steps
     or a Krylov breakdown from the Ritz vector (with ``bottom``, the sum of
     both ends' Ritz vectors). A pair is accepted only on a fresh product,
-    ||op(v) - theta v|| <= tol * max(|theta|, 1). The unit vector ``lock`` is
-    removed from the start and every product; ``max_iters`` caps the matvecs.
+    ||op(v) - theta v|| <= tol * max(|theta|, 1, d_max * 2^-52). The unit
+    vector ``lock`` is removed from the start and every product;
+    ``max_iters`` caps the matvecs.
 
     The iteration runs on op * unit, unit = 2^-max(0, e - 500) for the binary
     exponent e of ``op.d_max``, so the squared norms of huge weights stay
     finite; unit is 1 below d_max = 2^500, and a power of two scales exactly.
+    The floor d_max * 2^-52, the rounding error of one product, lets an
+    eigenvalue near 0 converge when the weights are huge; it is below 1, and
+    so changes nothing, for d_max < 2^52.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -124,6 +134,7 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     v = np.random.default_rng([seed, 0 if lock is None else 1]).standard_normal(n)
     lock = np.zeros(n) if lock is None else lock
     unit = 2.0 ** -max(0, math.frexp(op.d_max)[1] - 500)
+    floor = max(unit, op.d_max * unit * 2.0 ** -52)
     matvecs, best = 0, math.inf
 
     def apply(x: np.ndarray) -> np.ndarray:
@@ -146,7 +157,7 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
             ax = apply(x)
             theta = float(x @ ax) + 0.0  # no -0.0 in reports
             pairs.append((theta, x, ax, float(np.linalg.norm(ax - theta * x))))
-        worst = max(r / max(abs(th), unit) for th, _, _, r in pairs)
+        worst = max(r / max(abs(th), floor) for th, _, _, r in pairs)
         best = min(best, worst)
         if worst <= tol:
             return tuple(EigenPair(value=th / unit, vector=_canonical_sign(x),
@@ -166,14 +177,14 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
             thetas, ys = np.linalg.eigh(t[:j + 1, :j + 1])
             picks = (j, 0) if bottom and j else (j,)
             if b <= 1e-12 * np.abs(thetas).max() or j + 1 == k or all(
-                    b * abs(ys[j, i]) <= tol * max(abs(thetas[i]), unit)
+                    b * abs(ys[j, i]) <= tol * max(abs(thetas[i]), floor)
                     for i in picks):
                 break
             basis[j + 1] = w / b
         ritz = [ys[:, i] @ basis[:j + 1] for i in picks]
 
 
-def dominant_eigenpair(op, tol: float = 1e-8, max_iters: int = 100_000,
+def dominant_eigenpair(op, tol: float = TOL, max_iters: int = MAX_MATVECS,
                        seed: int = 0) -> EigenPair:
     """Largest-algebraic eigenpair of ``op``, by Lanczos.
 
@@ -183,8 +194,8 @@ def dominant_eigenpair(op, tol: float = 1e-8, max_iters: int = 100_000,
     return _lanczos(op, tol, max_iters, seed)[0]
 
 
-def second_eigenvalue(op, first: EigenPair, tol: float = 1e-8,
-                      max_iters: int = 100_000, seed: int = 0) -> EigenPair:
+def second_eigenvalue(op, first: EigenPair, tol: float = TOL,
+                      max_iters: int = MAX_MATVECS, seed: int = 0) -> EigenPair:
     """Second-largest algebraic eigenpair: a Lanczos solve with
     ``first.vector`` locked out of the start and of every Lanczos vector.
 
@@ -204,8 +215,8 @@ class SpectralProfile:
     lam: float
 
 
-def spectral_profile(g: LabeledGraph, tol: float = 1e-8,
-                     max_iters: int = 100_000, seed: int = 0) -> SpectralProfile:
+def spectral_profile(g: LabeledGraph, tol: float = TOL,
+                     max_iters: int = MAX_MATVECS, seed: int = 0) -> SpectralProfile:
     """lambda_1 and lambda_n of A from one Lanczos solve, lambda_2 from
     :func:`second_eigenvalue`, and lam = max(lambda2, |lambda_n|)."""
     if g.n < 2:

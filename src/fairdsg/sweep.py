@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import RED, Coloring, LabeledGraph, NodeSet, balance, color_counts, density
-from .spectral import ProjectedOperator, dominant_eigenpair
+from .spectral import MAX_MATVECS, TOL, ProjectedOperator, dominant_eigenpair
 
 
 class Ordering(Enum):
@@ -99,21 +99,6 @@ def make_record(g: LabeledGraph, c: Coloring, s: NodeSet,
         node_set=s, density=dens, balance=bal, imbalance=imb,
         fair=bool(s.size > 0 and imb == 0), size=s.size,
         n_red_in_s=red, n_blue_in_s=blue, status=status)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Eigensolver settings, and ``delta``, the imbalance slack of the
-    general sweep."""
-
-    delta: float = 0.0
-    tol: float = 1e-8
-    max_iters: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.delta >= 0:
-            raise ValueError("delta must be non-negative")
 
 
 def ordering_permutation(v: np.ndarray, ordering: Ordering) -> np.ndarray:
@@ -211,47 +196,51 @@ def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
     return _record(g, c, steps, _best(dens))
 
 
-def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring,
-                      cfg: SweepConfig) -> np.ndarray:
+def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring, *, tol: float = TOL,
+                      max_iters: int = MAX_MATVECS, seed: int = 0) -> np.ndarray:
     """Top eigenvector a sweep algorithm rounds: of the projected operator
-    for fss and fps, of the raw adjacency for ss and ps; ValueError for others."""
+    for fss and fps, of the raw adjacency for ss and ps; ValueError for others.
+    ``tol``, ``max_iters`` and ``seed`` go to :func:`dominant_eigenpair`."""
     name = name.lower()
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
     projected, _ = SPECTRAL_ALGORITHMS[name]
     op = ProjectedOperator(g, c) if projected else g
-    return dominant_eigenpair(op, tol=cfg.tol, max_iters=cfg.max_iters,
-                              seed=cfg.seed).vector
+    return dominant_eigenpair(op, tol=tol, max_iters=max_iters, seed=seed).vector
 
 
-def run_algorithm(name: str, g: LabeledGraph, c: Coloring,
-                  cfg: SweepConfig | None = None) -> SolutionRecord:
-    """The record of one of ss / fss / ps / fps (any case) on ``g``.
+def run_algorithm(name: str, g: LabeledGraph, c: Coloring, *, delta: float = 0.0,
+                  tol: float = TOL, max_iters: int = MAX_MATVECS,
+                  seed: int = 0) -> SolutionRecord:
+    """The record of one of ss / fss / ps / fps (any case) on ``g``, with the
+    eigensolver settings of :func:`sweep_eigenvector`.
 
-    ss and fss sweep with the slack ``cfg.delta`` (the recovery guarantee
-    uses delta = 16 (eps + theta); the experimental defaults use delta = 0).
-    ps and fps ignore delta. The record depends on the inputs only, so equal
-    calls return equal records.
+    ss and fss sweep with the imbalance slack ``delta`` (the recovery
+    guarantee uses delta = 16 (eps + theta); the experimental defaults use
+    delta = 0). ps and fps ignore it, but every name rejects a negative or
+    nan delta. Equal calls return equal records.
     """
-    cfg = cfg or SweepConfig()
-    v = sweep_eigenvector(name, g, c, cfg)
+    if not delta >= 0:
+        raise ValueError("delta must be non-negative")
+    v = sweep_eigenvector(name, g, c, tol=tol, max_iters=max_iters, seed=seed)
     _, paired = SPECTRAL_ALGORITHMS[name.lower()]
     if paired:
         return paired_sweep(g, c, v)
-    return general_sweep(g, c, v, cfg.delta)
+    return general_sweep(g, c, v, delta)
 
 
-def candidate_trace(name: str, g: LabeledGraph, c: Coloring,
-                    cfg: SweepConfig | None = None
+def candidate_trace(name: str, g: LabeledGraph, c: Coloring, *, tol: float = TOL,
+                    max_iters: int = MAX_MATVECS, seed: int = 0
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(size, density, balance) arrays of all candidates one algorithm examines.
+    """(size, density, balance) arrays of all candidates one algorithm
+    examines, with the eigensolver settings of :func:`sweep_eigenvector`.
 
     Emission order is deterministic: orderings in enumeration order, then
     prefix size ascending. The general sweep emits exactly
     len(orderings) * n candidates, the paired sweep
     len(orderings) * min(n_red, n_blue).
     """
-    v = sweep_eigenvector(name, g, c, cfg or SweepConfig())
+    v = sweep_eigenvector(name, g, c, tol=tol, max_iters=max_iters, seed=seed)
     _, paired = SPECTRAL_ALGORITHMS[name.lower()]
     _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, paired)
     # every prefix is non-empty, so the larger class count is at least 1

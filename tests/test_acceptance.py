@@ -25,8 +25,7 @@ from fairdsg.report import normalized_density, summarize
 from fairdsg.spectral import (ProjectedOperator, dominant_eigenpair,
                               fairness_vector, second_eigenvalue,
                               spectral_profile)
-from fairdsg.sweep import (SolveStatus, SweepConfig, general_sweep,
-                           paired_sweep, run_algorithm)
+from fairdsg.sweep import SolveStatus, general_sweep, paired_sweep, run_algorithm
 from fairdsg.cli import main as cli_main
 
 from conftest import random_coloring, random_graph
@@ -235,7 +234,7 @@ def test_criterion_7_paired_sweeps_never_unfair():
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.8)))
         c = random_coloring(rng, n)
         for name in ("ps", "fps"):
-            rec = run_algorithm(name, g, c, SweepConfig(seed=seed))
+            rec = run_algorithm(name, g, c, seed=seed)
             runs += 1
             if rec.status is SolveStatus.FOUND:
                 if not (rec.fair and rec.imbalance == 0):

@@ -153,7 +153,7 @@ def test_run_rejects_nan_edge_weight(tmp_path, capsys):
 
 
 def test_run_rejects_nan_or_negative_delta(small_graph_file, tmp_path, capsys):
-    for algorithm in ("ss", "fss"):
+    for algorithm in ("ss", "fss", "ps", "fps"):
         for delta in ("nan", "-1"):
             assert main(["run", "--input", small_graph_file, "--algorithm", algorithm,
                          "--delta", delta, "--out", str(tmp_path / "o.csv")]) == 2
@@ -363,6 +363,22 @@ def test_planted_rejects_bad_delta_policy(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])
+def test_memory_error_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys,
+                                                  message):
+    import fairdsg.cli
+
+    def too_big(params, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(fairdsg.cli, "generate", too_big)
+    assert main(["planted", "--n", "100000000000", "--m", "4", "--d", "2",
+                 "--p-bg", "0.5", "--out", str(tmp_path / "p.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_planted_save_instances(tmp_path):
     out = tmp_path / "p.csv"
     inst_dir = tmp_path / "instances"
@@ -436,6 +452,20 @@ def test_summary_rejects_non_run_csv(tmp_path, capsys):
     assert main(["summary", "--input", str(bogus),
                  "--out", str(tmp_path / "s.csv")]) == 2
     assert f"error: {bogus}: not a run CSV" in capsys.readouterr().err
+
+
+def test_summary_rejects_a_normalized_density_that_is_not_finite_or_is_negative(
+        tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    for nd in ("nan", "inf", "-inf", "-0.5"):
+        path.write_text(f"algorithm,normalized_density,status\nfss,{nd},Found\n",
+                        encoding="utf-8")
+        assert main(["summary", "--input", str(path),
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {path}: normalized_density must be a "
+                                f"finite number >= 0, got '{nd}'\n")
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_summary_rejects_a_field_over_the_csv_limit(tmp_path, capsys):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from fairdsg.flow import exact_densest_subgraph
 from fairdsg.graph import LabeledGraph, NodeSet
-from fairdsg.report import (RESULT_FIELDS, RunManifest,
-                            format_float, normalized_density, pareto_front,
-                            read_csv, result_row, summarize, write_csv)
+from fairdsg.report import (RunManifest, format_float, normalized_density,
+                            pareto_front, read_csv, result_row, summarize,
+                            write_csv)
 from fairdsg.sweep import SolveStatus, make_record, run_algorithm
 
 from oracles import pareto_quadratic
@@ -127,6 +127,18 @@ def test_format_float_nine_significant_digits():
     assert abs(float(format_float(value)) - value) <= 1e-9 * max(1.0, abs(value))
 
 
+def test_write_csv_turns_each_value_into_a_cell_by_one_rule():
+    values = {"none": None, "bool": True, "np_bool": np.bool_(False),
+              "int": 7, "np_int": np.int64(-3), "float": 2.0 / 3.0,
+              "np_float": np.float64(1e-12), "whole": 4.0,
+              "status": SolveStatus.NO_FEASIBLE_PREFIX, "str": "a,b"}
+    buf = io.StringIO()
+    write_csv(buf, list(values), [values])
+    assert buf.getvalue() == (
+        "none,bool,np_bool,int,np_int,float,np_float,whole,status,str\n"
+        ',true,false,7,-3,0.666666667,1e-12,4,NoFeasiblePrefix,"a,b"\n')
+
+
 def test_manifest_round_trip_and_csv(k4, k4_rrbb):
     manifest = RunManifest(command="run", argv=("run", "--x"), inputs=("g.el",),
                            algorithm="fps", delta=0.0, tol=1e-8,
@@ -138,7 +150,11 @@ def test_manifest_round_trip_and_csv(k4, k4_rrbb):
     row = result_row("fps", rec, instance="g.el", g=k4, c=k4_rrbb,
                      normalized=1.0, seed=7)
     buf = io.StringIO()
-    write_csv(buf, RESULT_FIELDS, [row], manifest)
+    columns = ["algorithm", "instance", "n", "n_red", "n_blue", "edges",
+               "sol_size", "sol_red", "sol_blue", "density", "balance",
+               "normalized_density", "fair", "status", "runtime_ms", "seed"]
+    assert list(row) == columns
+    write_csv(buf, columns, [row], manifest)
     got_manifest, rows = read_csv(io.StringIO(buf.getvalue()))
     assert got_manifest == manifest
     assert len(rows) == 1
@@ -148,4 +164,4 @@ def test_manifest_round_trip_and_csv(k4, k4_rrbb):
     assert back["fair"] == "true"
     assert float(back["density"]) == pytest.approx(rec.density, abs=1e-9)
     assert back["runtime_ms"] == ""
-    assert set(back) == set(RESULT_FIELDS)
+    assert list(back) == columns

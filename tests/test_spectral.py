@@ -91,6 +91,21 @@ def test_eigenpairs_of_huge_valid_weights(w):
         assert np.allclose(pair.vector, [2 ** -0.5, 2 ** -0.5])
 
 
+def test_zero_eigenvalue_of_a_huge_weight_path_converges():
+    # lambda2 = 0 on the path 0-1-2; its residual cannot fall below the
+    # rounding error of a product, about d_max * 2^-52, so only the floor
+    # tol * d_max * 2^-52 lets it converge
+    w = 1e160
+    g = LabeledGraph.from_edges(3, [(0, 1, w), (1, 2, w)])
+    profile = spectral_profile(g)
+    assert profile.lambda1 == pytest.approx(2 ** 0.5 * w, rel=1e-12)
+    assert profile.lambda_n == pytest.approx(-(2 ** 0.5) * w, rel=1e-12)
+    assert abs(profile.lambda2) <= 1e-8 * g.d_max * 2.0 ** -52
+    second = second_eigenvalue(g, dominant_eigenpair(g))
+    assert second.residual <= 1e-8 * g.d_max * 2.0 ** -52
+    assert second.iterations <= 100
+
+
 def test_dominant_eigenpair_triangle(triangle):
     pair = dominant_eigenpair(triangle)
     assert pair.value == pytest.approx(2.0, abs=1e-8)

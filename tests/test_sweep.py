@@ -11,9 +11,9 @@ from fairdsg.graph import RED, Coloring, LabeledGraph, density
 from fairdsg.planted import PlantedParams, generate, run_recovery
 from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
 from fairdsg.sweep import (ALL_ORDERINGS, SPECTRAL_ALGORITHMS, Ordering,
-                           SolutionRecord, SolveStatus, SweepConfig,
-                           candidate_trace, general_sweep, ordering_permutation,
-                           paired_sweep, run_algorithm, sweep_eigenvector)
+                           SolutionRecord, SolveStatus, candidate_trace,
+                           general_sweep, ordering_permutation, paired_sweep,
+                           run_algorithm, sweep_eigenvector)
 
 from conftest import random_coloring, random_graph
 from oracles import pair_rescan, subset_density, sweep_rescan, dense_adjacency
@@ -142,14 +142,13 @@ def test_run_algorithm_rejects_unknown(k4, k4_rrbb):
 
 
 def test_algorithm_names_are_checked_case_insensitively(k4, k4_rrbb):
-    for call in (run_algorithm, candidate_trace,
-                 lambda *a: sweep_eigenvector(*a, SweepConfig())):
+    for call in (run_algorithm, candidate_trace, sweep_eigenvector):
         with pytest.raises(ValueError, match="unknown sweep algorithm 'gsa'"):
             call("GSA", k4, k4_rrbb)
     assert run_algorithm("FPS", k4, k4_rrbb) == run_algorithm("fps", k4, k4_rrbb)
     # the projected operator serves FSS as it serves fss
-    assert np.array_equal(sweep_eigenvector("FSS", k4, k4_rrbb, SweepConfig()),
-                          sweep_eigenvector("fss", k4, k4_rrbb, SweepConfig()))
+    assert np.array_equal(sweep_eigenvector("FSS", k4, k4_rrbb),
+                          sweep_eigenvector("fss", k4, k4_rrbb))
     # and the paired sweep serves PS as it serves ps
     for upper, lower in zip(candidate_trace("PS", k4, k4_rrbb),
                             candidate_trace("ps", k4, k4_rrbb)):
@@ -204,7 +203,7 @@ def test_trace_densities_match_scratch_recompute():
         a = dense_adjacency(g)
         for oi, ordering in enumerate(ALL_ORDERINGS):
             perm = ordering_permutation(v, ordering)
-            sizes, densities, _ = candidate_trace("fss", g, c, SweepConfig(seed=1))
+            sizes, densities, _ = candidate_trace("fss", g, c, seed=1)
             block = zip(sizes[oi * n:(oi + 1) * n], densities[oi * n:(oi + 1) * n])
             for s, (size, dens) in enumerate(block, start=1):
                 assert size == s
@@ -276,8 +275,9 @@ def test_nan_or_negative_delta_rejected(k4, k4_rrbb):
     for delta in (float("nan"), -0.5):
         with pytest.raises(ValueError, match="delta must be non-negative"):
             general_sweep(k4, k4_rrbb, np.ones(4), delta)
-        with pytest.raises(ValueError, match="delta must be non-negative"):
-            SweepConfig(delta=delta)
+        for name in SPECTRAL_ALGORITHMS:  # ps and fps ignore delta but check it
+            with pytest.raises(ValueError, match="delta must be non-negative"):
+                run_algorithm(name, k4, k4_rrbb, delta=delta)
 
 
 def _red_optimum_instance():
