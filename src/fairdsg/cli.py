@@ -2,10 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error. Every output file starts
 with a manifest comment recording the invocation, and all randomness flows
-from --seed (falling back to the FAIRDSG_SEED environment variable), so
-identical invocations produce byte-identical files. Wall-clock timings are
-excluded from output unless --timings wall is given, because they would
-break that determinism contract.
+from --seed (default 0) and nothing else, so identical invocations produce
+byte-identical files. Wall-clock timings are excluded from output unless
+--timings wall is given, because they would break that determinism contract.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ def _add_eig_flags(p: argparse.ArgumentParser) -> None:
                    help="eigensolver relative-residual tolerance")
     p.add_argument("--max-iters", type=int, default=MAX_MATVECS,
                    help="eigensolver matvec cap")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default: $FAIRDSG_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
 
 def build_parser() -> _Parser:
@@ -122,27 +120,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
-    env = os.environ.get("FAIRDSG_SEED", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"FAIRDSG_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def _manifest(args, command: str, inputs: list[str], *, algorithm: str | None = None,
-              delta: float | None = None, seed: int = 0) -> RunManifest:
+              delta: float | None = None) -> RunManifest:
     return RunManifest(
         command=command, argv=tuple(args._argv), inputs=tuple(inputs),
         algorithm=algorithm, delta=delta,
         tol=getattr(args, "tol", TOL),
         max_iters=getattr(args, "max_iters", MAX_MATVECS),
-        seed=seed, version=__version__)
+        seed=getattr(args, "seed", 0), version=__version__)
 
 
 def _cmd_ingest_polbooks(args) -> int:
@@ -170,15 +155,16 @@ def _cmd_ingest_amazon(args) -> int:
     pairs = category_pair_subgraphs(graph, categories, min_nodes=args.min_nodes)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = _manifest(args, "ingest-amazon", [args.input])
-    used: dict[str, int] = {}
+    written: set[str] = set()
     index_rows = []
     for pair in pairs:
-        slug = _slugify(pair.name)
-        if slug in used:
-            used[slug] += 1
-            slug = f"{slug}_{used[slug]}"
-        else:
-            used[slug] = 0
+        # a slug already written gets the smallest free suffix _1, _2, ...
+        base = slug = _slugify(pair.name)
+        k = 0
+        while slug in written:
+            k += 1
+            slug = f"{base}_{k}"
+        written.add(slug)
         path = os.path.join(args.out_dir, f"{slug}.el")
         save_edgelist(pair.graph, pair.coloring, path,
                       comments=[manifest.to_comment(),
@@ -199,7 +185,6 @@ def _cmd_ingest_amazon(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    seed = _resolve_seed(args)
     g, c = load_edgelist(args.input)
     name = args.algorithm
     if name == "oracle" and g.n > ORACLE_MAX_N:
@@ -212,7 +197,7 @@ def _cmd_run(args) -> int:
         t0 = time.perf_counter()
     if name in SPECTRAL_ALGORITHMS:
         record = run_algorithm(name, g, c, delta=args.delta, tol=args.tol,
-                               max_iters=args.max_iters, seed=seed)
+                               max_iters=args.max_iters, seed=args.seed)
     elif name == "2dfsg":
         record = two_dfsg(g, c, optimum.node_set)
     elif name == "exact":
@@ -224,9 +209,10 @@ def _cmd_run(args) -> int:
     runtime_s = time.perf_counter() - t0
     nd = normalized_density(record, optimum=optimum.density)
     manifest = _manifest(args, "run", [args.input], algorithm=name,
-                         delta=args.delta, seed=seed)
+                         delta=args.delta)
     row = result_row(name, record, instance=args.input, g=g, c=c, normalized=nd,
-                     seed=seed, runtime_s=runtime_s if args.timings == "wall" else None)
+                     seed=args.seed,
+                     runtime_s=runtime_s if args.timings == "wall" else None)
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, list(row), [row], manifest)
     print(f"{name}: status={record.status.value} size={record.size} "
@@ -288,7 +274,6 @@ def _cmd_planted(args) -> int:
         raise ValueError("--seeds must be at least 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    base = _resolve_seed(args)
     policy = args.delta_policy
     if policy != "bound":
         policy = float(policy)
@@ -298,14 +283,14 @@ def _cmd_planted(args) -> int:
     if args.save_instances is not None:
         os.makedirs(args.save_instances, exist_ok=True)
     row = functools.partial(_planted_row, args, policy)
-    seeds = range(base, base + args.seeds)
+    seeds = range(args.seed, args.seed + args.seeds)
     workers = min(args.jobs, args.seeds)  # a pool starts every worker at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(row, seeds))
     else:
         rows = list(map(row, seeds))
-    manifest = _manifest(args, "planted", [], algorithm=args.algorithm, seed=base)
+    manifest = _manifest(args, "planted", [], algorithm=args.algorithm)
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, list(rows[0]), rows, manifest)
     held = sum(r["hypotheses_hold"] for r in rows)
@@ -315,7 +300,6 @@ def _cmd_planted(args) -> int:
 
 
 def _cmd_pareto(args) -> int:
-    seed = _resolve_seed(args)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     valid = (*SPECTRAL_ALGORITHMS, "2dfsg")
     if not algorithms:
@@ -332,12 +316,13 @@ def _cmd_pareto(args) -> int:
             size, dens, bal = two_dfsg_candidates(g, c, optimum)
         else:
             size, dens, bal = candidate_trace(name, g, c, tol=args.tol,
-                                              max_iters=args.max_iters, seed=seed)
+                                              max_iters=args.max_iters,
+                                              seed=args.seed)
         front = pareto_front(dens, bal, size)
         for s, d, b in zip(size[front].tolist(), dens[front].tolist(),
                            bal[front].tolist()):
             rows.append({"algorithm": name, "density": d, "balance": b, "size": s})
-    manifest = _manifest(args, "pareto", [args.input], seed=seed)
+    manifest = _manifest(args, "pareto", [args.input])
     with open(args.out, "w", encoding="utf-8") as handle:
         write_csv(handle, ["algorithm", "density", "balance", "size"], rows, manifest)
     print(f"pareto: algorithms={len(algorithms)} front_points={len(rows)}")

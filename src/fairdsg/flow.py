@@ -37,7 +37,7 @@ import numpy as np
 
 from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, color_counts,
                     density, induced_subgraph, is_fair)
-from .sweep import SolutionRecord, SolveStatus, _prefix_sums, make_record
+from .sweep import SolutionRecord, SolveStatus, _balance, _prefix_sums, make_record
 
 
 def _interleave(a, b) -> np.ndarray:
@@ -108,6 +108,10 @@ def _levels(net: FlowNetwork, residual: np.ndarray, eps: float) -> np.ndarray:
 def max_flow(net: FlowNetwork) -> tuple[float, NodeSet]:
     """Exact max flow (Dinic) and the source side of a minimum cut.
 
+    An arc counts as residual while it holds more than eps, 1e-12 times the
+    largest capacity: a tolerance relative to the network's own scale, so
+    capacities far below 1 are not mistaken for saturated arcs.
+
     Each phase computes BFS levels in numpy (``_levels``), then selects the
     admissible arcs, residual > eps from level k to level k + 1, grouped by
     tail in CSR order. An iterative DFS over Python lists of just those
@@ -121,7 +125,7 @@ def max_flow(net: FlowNetwork) -> tuple[float, NodeSet]:
     """
     residual = net._cap.copy()  # the network stays reusable
     s, t = net.source, net.sink
-    eps = 1e-12 * max(1.0, float(net._cap.max(initial=0.0)))
+    eps = 1e-12 * float(net._cap.max(initial=0.0))
     total = 0.0
     while (level := _levels(net, residual, eps))[t] >= 0:
         lt = level[net._tail]
@@ -273,13 +277,11 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
     the loop ends after finitely many solves; the last cut certifies that no
     set of the core, and so none of the graph, beats rho(S). When the core
     itself is densest, one solve certifies it. ``iterations`` counts the
-    solves. On a graph without edges the result is the lowest-id node at
-    density 0, with no solve.
+    solves. When no edge has positive weight, every node has density 0 and
+    one solve certifies the whole graph.
     """
     if g.n < 1:
         raise ValueError("graph has no nodes")
-    if g.num_edges == 0:
-        return DensestResult(NodeSet([0]), 0.0, 0)
     kept, core = _densest_core(g)
     # source -> u and u -> sink for every node of positive degree, then both
     # orientations of every edge; u -> sink is input arc 2j + 1, at _cap[4j + 2]
@@ -354,4 +356,4 @@ def two_dfsg_candidates(g: LabeledGraph, c: Coloring, optimum: NodeSet
     step[optimum.members] = 0
     step[picks] = np.arange(1, len(picks) + 1)
     size, w, red = _prefix_sums(g, c, step, len(picks) + 1)
-    return size, 2.0 * w / size, np.minimum(red, size - red) / np.maximum(red, size - red)
+    return size, 2.0 * w / size, _balance(size, red)

@@ -145,16 +145,16 @@ class LabeledGraph:
         with CSR-style ``indptr`` for per-node slices
     degrees : weighted degree per node
     d_max : maximum weighted degree
-    node_names : optional external identifier per node
+    n_self_loops_dropped, n_duplicates_merged : the canonicalizer's work
     """
 
     __slots__ = ("n", "edge_u", "edge_v", "edge_w", "arc_src", "arc_dst", "arc_w",
-                 "indptr", "degrees", "d_max", "node_names",
-                 "n_self_loops_dropped", "n_duplicates_merged")
+                 "indptr", "degrees", "d_max", "n_self_loops_dropped",
+                 "n_duplicates_merged")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
-                 edge_w: np.ndarray, node_names: Sequence[str] | None,
-                 n_self_loops_dropped: int, n_duplicates_merged: int):
+                 edge_w: np.ndarray, n_self_loops_dropped: int,
+                 n_duplicates_merged: int):
         self.n = int(n)
         self.edge_u = edge_u
         self.edge_v = edge_v
@@ -182,19 +182,11 @@ class LabeledGraph:
                                    minlength=self.n).astype(np.float64)
         self.degrees.flags.writeable = False
         self.d_max = float(self.degrees.max(initial=0.0))
-        if node_names is not None:
-            names = tuple(str(s) for s in node_names)
-            if len(names) != self.n:
-                raise ValueError("node_names length must equal the node count")
-            self.node_names = names
-        else:
-            self.node_names = None
         self.n_self_loops_dropped = int(n_self_loops_dropped)
         self.n_duplicates_merged = int(n_duplicates_merged)
 
     @classmethod
-    def from_arrays(cls, n: int, u, v, w=None,
-                    node_names: Sequence[str] | None = None) -> "LabeledGraph":
+    def from_arrays(cls, n: int, u, v, w=None) -> "LabeledGraph":
         """Build a graph from edge columns; ``w`` defaults to all ones.
 
         Every edge is checked before anything is dropped; the error names the
@@ -234,17 +226,16 @@ class LabeledGraph:
         if not np.isfinite(2.0 * total):
             raise ValueError(f"edge weights sum to {total}; twice that is not "
                              f"a finite float")
-        return cls(n, *np.divmod(key[first], n), ew, node_names,
-                   u.size - key.size, key.size - ew.size)
+        return cls(n, *np.divmod(key[first], n), ew, u.size - key.size,
+                   key.size - ew.size)
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[Sequence],
-                   node_names: Sequence[str] | None = None) -> "LabeledGraph":
+    def from_edges(cls, n: int, edges: Iterable[Sequence]) -> "LabeledGraph":
         """Build a graph from (u, v) or (u, v, w) items through
         :meth:`from_arrays`; unweighted pairs get weight 1.0."""
         rows = [(*item, 1.0) if len(item) == 2 else item for item in edges]
         u, v, w = np.array(rows, dtype=object).reshape(len(rows), 3).T
-        return cls.from_arrays(n, u, v, w, node_names)
+        return cls.from_arrays(n, u, v, w)
 
     @property
     def num_edges(self) -> int:
@@ -303,13 +294,12 @@ def color_counts(s: NodeSet, c: Coloring) -> tuple[int, int]:
 
 
 def balance(s: NodeSet, c: Coloring) -> float:
-    """min(x/y, y/x) over the color counts x, y; 0.0 when a class is empty."""
+    """min(x, y) / max(x, y) over the color counts x, y; 0.0 when a class
+    is empty."""
     if s.size == 0:
         raise ValueError("balance of the empty set is undefined")
     x, y = color_counts(s, c)
-    if x == 0 or y == 0:
-        return 0.0
-    return min(x / y, y / x)
+    return min(x, y) / max(x, y)
 
 
 def imbalance(s: NodeSet, c: Coloring) -> int:
@@ -323,18 +313,11 @@ def is_fair(s: NodeSet, c: Coloring) -> bool:
 
 
 def induced_subgraph(g: LabeledGraph, s: NodeSet) -> LabeledGraph:
-    """Subgraph induced by ``s``, densely relabeled in member order.
-
-    The original ids survive through ``node_names`` (existing names are
-    propagated, otherwise the stringified original id is used).
-    """
+    """Subgraph induced by ``s``, densely relabeled in member order: node
+    i of the result is ``s.members[i]``."""
     mask = s.mask(g.n)
     new_id = np.cumsum(mask) - 1
     inside = mask[g.edge_u] & mask[g.edge_v]
-    if g.node_names is not None:
-        names = [g.node_names[i] for i in s.members]
-    else:
-        names = [str(int(i)) for i in s.members]
     # relabelling in member order keeps the edge list canonical and sorted
     return LabeledGraph(s.size, new_id[g.edge_u[inside]], new_id[g.edge_v[inside]],
-                        g.edge_w[inside], names, 0, 0)
+                        g.edge_w[inside], 0, 0)

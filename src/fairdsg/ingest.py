@@ -187,10 +187,9 @@ def polbooks_graph(doc: GmlDocument) -> tuple[LabeledGraph, Coloring]:
         colors.append(color)
         kept.append(node)
     new_id = {node.id: i for i, node in enumerate(kept)}
-    names = [node.label if node.label is not None else str(node.id) for node in kept]
     edges = np.array([(new_id[s], new_id[t]) for s, t in doc.edges
                       if s in new_id and t in new_id], dtype=np.int64).reshape(-1, 2)
-    graph = LabeledGraph.from_arrays(len(kept), *edges.T, node_names=names)
+    graph = LabeledGraph.from_arrays(len(kept), *edges.T)
     return graph, Coloring(colors)
 
 
@@ -269,7 +268,7 @@ def build_product_graph(records: Iterable[ProductRecord],
     lo, hi = np.minimum(src, dst)[linked], np.maximum(src, dst)[linked]
     # one unit-weight edge per linked pair, however often it is listed
     edges = np.divmod(np.unique(lo * len(asins) + hi), len(asins))
-    graph = LabeledGraph.from_arrays(len(asins), *edges, node_names=asins)
+    graph = LabeledGraph.from_arrays(len(asins), *edges)
     categories = [by_asin[a].main_cat for a in asins]
     return graph, categories, stats
 

@@ -124,6 +124,12 @@ def _prefix_sums(g: LabeledGraph, c: Coloring, step: np.ndarray, n_steps: int):
                  for at, w in joins)
 
 
+def _balance(size: np.ndarray, red: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`~fairdsg.graph.balance` of non-empty sets from
+    their sizes and red counts."""
+    return np.minimum(red, size - red) / np.maximum(red, size - red)
+
+
 def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
           orderings: Sequence[Ordering], paired: bool):
     """Every prefix of every ordering, shared by the sweeps and their trace.
@@ -201,7 +207,6 @@ def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring, *, tol: float = T
     """Top eigenvector a sweep algorithm rounds: of the projected operator
     for fss and fps, of the raw adjacency for ss and ps; ValueError for others.
     ``tol``, ``max_iters`` and ``seed`` go to :func:`dominant_eigenpair`."""
-    name = name.lower()
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
     projected, _ = SPECTRAL_ALGORITHMS[name]
@@ -212,7 +217,7 @@ def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring, *, tol: float = T
 def run_algorithm(name: str, g: LabeledGraph, c: Coloring, *, delta: float = 0.0,
                   tol: float = TOL, max_iters: int = MAX_MATVECS,
                   seed: int = 0) -> SolutionRecord:
-    """The record of one of ss / fss / ps / fps (any case) on ``g``, with the
+    """The record of one of ss / fss / ps / fps on ``g``, with the
     eigensolver settings of :func:`sweep_eigenvector`.
 
     ss and fss sweep with the imbalance slack ``delta`` (the recovery
@@ -223,7 +228,7 @@ def run_algorithm(name: str, g: LabeledGraph, c: Coloring, *, delta: float = 0.0
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
     v = sweep_eigenvector(name, g, c, tol=tol, max_iters=max_iters, seed=seed)
-    _, paired = SPECTRAL_ALGORITHMS[name.lower()]
+    _, paired = SPECTRAL_ALGORITHMS[name]
     if paired:
         return paired_sweep(g, c, v)
     return general_sweep(g, c, v, delta)
@@ -241,8 +246,6 @@ def candidate_trace(name: str, g: LabeledGraph, c: Coloring, *, tol: float = TOL
     len(orderings) * min(n_red, n_blue).
     """
     v = sweep_eigenvector(name, g, c, tol=tol, max_iters=max_iters, seed=seed)
-    _, paired = SPECTRAL_ALGORITHMS[name.lower()]
+    _, paired = SPECTRAL_ALGORITHMS[name]
     _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, paired)
-    # every prefix is non-empty, so the larger class count is at least 1
-    bal = np.minimum(red, size - red) / np.maximum(red, size - red)
-    return size.ravel(), dens.ravel(), bal.ravel()
+    return size.ravel(), dens.ravel(), _balance(size, red).ravel()

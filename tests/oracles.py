@@ -226,7 +226,7 @@ def list_max_flow(net: ListFlowNetwork) -> tuple[float, NodeSet]:
     cap = list(net._cap)  # residual capacities; the network stays reusable
     head = net._head
     s, t = net.source, net.sink
-    eps = 1e-12 * max(1.0, max(net._cap, default=0.0))
+    eps = 1e-12 * max(net._cap, default=0.0)
     total = 0.0
     level = [-1] * net.n
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from fairdsg.cli import RUN_ALGORITHMS, main
 from fairdsg.graph import Coloring, LabeledGraph
 from fairdsg.ingest import load_edgelist, save_edgelist
+from fairdsg.planted import RECOVERY_ALGORITHMS
 from fairdsg.report import RunManifest, format_float, read_csv
 from fairdsg.sweep import SPECTRAL_ALGORITHMS, SolveStatus
 
@@ -113,23 +116,18 @@ def test_run_runtime_counts_the_exact_solve_for_2dfsg_and_exact_only(
         assert (runtime_ms >= 1e6) == counted, algorithm
 
 
-def test_seed_env_fallback(small_graph_file, tmp_path, monkeypatch):
-    out1 = tmp_path / "a.csv"
-    out2 = tmp_path / "b.csv"
-    monkeypatch.setenv("FAIRDSG_SEED", "17")
-    assert main(["run", "--input", small_graph_file, "--algorithm", "fss",
-                 "--out", str(out1)]) == 0
-    _, rows_env = _rows(str(out1))
-    monkeypatch.delenv("FAIRDSG_SEED")
-    assert main(["run", "--input", small_graph_file, "--algorithm", "fss",
-                 "--seed", "17", "--out", str(out2)]) == 0
-    _, rows_flag = _rows(str(out2))
-    assert rows_env[0]["seed"] == rows_flag[0]["seed"] == "17"
-    assert rows_env[0]["density"] == rows_flag[0]["density"]
-
-    monkeypatch.setenv("FAIRDSG_SEED", "not-a-number")
-    assert main(["run", "--input", small_graph_file, "--algorithm", "fss",
-                 "--out", str(out1)]) == 2
+def test_seed_comes_from_argv_only(small_graph_file, tmp_path, monkeypatch):
+    # an environment variable named like a seed is not an input
+    argv = ["run", "--input", small_graph_file, "--algorithm", "fss"]
+    assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == 0
+    plain = (tmp_path / "plain.csv").read_text(encoding="utf-8")
+    assert _rows(str(tmp_path / "plain.csv"))[1][0]["seed"] == "0"
+    for value in ("17", "not-a-number"):
+        monkeypatch.setenv("FAIRDSG_SEED", value)
+        out = tmp_path / f"env_{value}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == plain.replace(
+            str(tmp_path / "plain.csv"), str(out))
 
 
 def test_usage_and_data_errors(small_graph_file, tmp_path, capsys):
@@ -290,6 +288,28 @@ def test_ingest_amazon_pair_files_with_line_breaks_in_categories_run(tmp_path):
         assert "# pair: Bo oks__Mu sic\n" in Path(path).read_text(encoding="utf-8")
         assert main(["run", "--input", path, "--algorithm", "fps",
                      "--out", str(tmp_path / "run.csv")]) == 0
+
+
+def test_ingest_amazon_gives_every_pair_its_own_file(tmp_path):
+    # "1__A 1" and "1__a" both slugify to 1_a_1, which "1__A 1" takes first
+    cats = ["A", "a", "1", "A 1"]
+    src = tmp_path / "meta.jsonl"
+    src.write_text("".join(
+        json.dumps({"asin": f"P{i}", "main_cat": cat,
+                    "also_buy": [f"P{j}" for j in range(len(cats)) if j != i]}) + "\n"
+        for i, cat in enumerate(cats)), encoding="utf-8")
+    out_dir = tmp_path / "pairs"
+    assert main(["ingest-amazon", "--input", str(src), "--out-dir", str(out_dir),
+                 "--min-nodes", "1"]) == 0
+    _, index = _rows(str(out_dir / "index.csv"))
+    assert len(index) == 6
+    assert len({row["file"] for row in index}) == 6
+    assert sorted(p.name for p in out_dir.glob("*.el")) == sorted(
+        row["file"] for row in index)
+    assert {row["pair"]: row["file"] for row in index}["1__a"] == "1_a_2.el"
+    for row in index:
+        text = (out_dir / row["file"]).read_text(encoding="utf-8")
+        assert f"# pair: {row['pair']}\n" in text
 
 
 def test_planted_command_and_jobs_equivalence(tmp_path):
@@ -679,3 +699,86 @@ def test_every_name_in_the_package_all_resolves():
     star: dict = {}
     exec("from fairdsg import *", star)
     assert set(fairdsg.__all__) <= star.keys()
+
+
+# Drawn edge-list files: 1-10 nodes, any color line, and edge lines in any
+# order, self-loops and parallel lines included
+_WEIGHTS = (0.0, 5e-324, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def _edge_list_files(draw):
+    labels = draw(st.text(alphabet="RB", min_size=1, max_size=10))
+    node = st.integers(0, len(labels) - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.sampled_from(_WEIGHTS)),
+                          max_size=15))
+    text = (f"{len(labels)} {labels.count('R')} {labels.count('B')}\n{labels}\n"
+            + "".join(f"{u} {v} {w!r}\n" for u, v, w in edges))
+    return text, sum(w for u, v, w in edges if u != v)
+
+
+def _run_twice(argv: list[str], out: Path) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, after checking that a rerun
+    exits alike, prints the same stdout and writes the same bytes."""
+    results = []
+    for _ in range(2):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        results.append((code, stdout.getvalue(),
+                        out.read_bytes() if out.exists() else None))
+        assert "Traceback" not in stderr.getvalue()
+    assert results[0] == results[1], argv
+    return code, stderr.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(drawn=_edge_list_files())
+def test_every_command_on_drawn_edge_lists(drawn):
+    text, total = drawn
+    with tempfile.TemporaryDirectory() as directory:
+        tmp = Path(directory)
+        path = tmp / "g.el"
+        path.write_text(text, encoding="utf-8")
+        run_csvs = []
+        for name in RUN_ALGORITHMS:
+            out = tmp / f"{name}.csv"
+            code, err = _run_twice(["run", "--input", str(path), "--algorithm", name,
+                                    "--out", str(out)], out)
+            # normalized density needs a positive optimum, so a positive weight
+            assert code == (2 if total == 0 else 0), (name, err)
+            if code:
+                assert "zero unconstrained optimum" in err
+            else:
+                run_csvs.append(str(out))
+        out = tmp / "front.csv"
+        code, err = _run_twice(["pareto", "--input", str(path), "--algorithms",
+                                "ss,fss,ps,fps,2dfsg", "--out", str(out)], out)
+        assert code == 0, err
+        if run_csvs:
+            out = tmp / "summary.csv"
+            code, err = _run_twice(["summary", "--input", *run_csvs,
+                                    "--out", str(out)], out)
+            assert code == 0, err
+
+
+@st.composite
+def _planted_argv(draw):
+    n = draw(st.integers(2, 12))
+    m = 2 * draw(st.integers(1, n // 2))
+    return ["planted", "--n", str(n), "--m", str(m),
+            "--d", str(draw(st.integers(0, m - 1))),
+            "--eps", str(draw(st.sampled_from([0.0, 0.25, 0.5]))),
+            "--p-bg", str(draw(st.sampled_from([0.0, 0.2, 1.0]))),
+            "--seeds", str(draw(st.integers(1, 2))),
+            "--seed", str(draw(st.integers(0, 5))),
+            "--algorithm", draw(st.sampled_from(RECOVERY_ALGORITHMS))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(argv=_planted_argv())
+def test_planted_on_drawn_parameters(argv):
+    with tempfile.TemporaryDirectory() as directory:
+        out = Path(directory) / "planted.csv"
+        code, err = _run_twice(argv + ["--out", str(out)], out)
+    assert code == 0, err

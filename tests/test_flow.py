@@ -90,7 +90,7 @@ def test_flow_network_validation():
 
 
 # zero, integer, dyadic and arbitrary capacities, and ones below the solver's
-# 1e-12 tolerance
+# tolerance of 1e-12 times the largest capacity
 _CAPS = st.one_of(st.just(0.0), st.integers(1, 9).map(float),
                   st.integers(1, 99).map(lambda k: k / 8.0),
                   st.floats(0.0, 10.0), st.floats(1e-15, 1e-11))
@@ -249,10 +249,34 @@ def test_exact_densest_path3(path3):
 
 
 def test_exact_densest_edgeless_graph():
-    g = LabeledGraph.from_edges(3, [])
+    # as with edges of weight 0: every node, certified by one solve
+    for g in (LabeledGraph.from_edges(3, []),
+              LabeledGraph.from_edges(3, [(0, 1, 0.0), (1, 2, 0.0)])):
+        res = exact_densest_subgraph(g)
+        assert res.density == 0.0
+        assert res.node_set.as_tuple() == (0, 1, 2)
+        assert res.iterations == 1
+
+
+def test_exact_densest_at_weights_far_below_one():
+    # the flow tolerance scales with the capacities: the graph of the
+    # three-round test above, scaled by 2^-60, takes the same three rounds
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    k5 = [(6 + u, 6 + v) for u in range(5) for v in range(u + 1, 5)]
+    cube = [(11 + u, 11 + (u ^ bit)) for u in range(8) for bit in (1, 2, 4)
+            if u < u ^ bit]
+    scale = 2.0 ** -60
+    g = LabeledGraph.from_edges(19, [(u, v, scale) for u, v in
+                                     k6 + k5 + cube + [(5, 6), (10, 11)]])
     res = exact_densest_subgraph(g)
-    assert res.density == 0.0
-    assert res.node_set.size == 1
+    assert res.node_set.as_tuple() == tuple(range(6))
+    assert res.density == 5.0 * scale
+    assert res.iterations == 3
+    # one subnormal edge beside two isolated nodes and a zero-weight edge
+    g = LabeledGraph.from_edges(6, [(0, 5, 5e-324), (2, 3, 0.0)])
+    res = exact_densest_subgraph(g)
+    assert res.node_set.as_tuple() == (0, 5)
+    assert res.density == 5e-324
 
 
 def test_exact_densest_matches_subset_enumeration():
