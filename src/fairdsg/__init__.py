@@ -26,7 +26,7 @@ from .flow import (DensestResult, FlowNetwork, exact_densest_subgraph,
                    max_flow, two_dfsg)
 from .oracle import ORACLE_MAX_N, OracleResult, brute_force_densest
 from .planted import (PlantedInstance, PlantedParams, RecoveryReport,
-                      recovery_error, recovery_experiment, run_recovery)
+                      recovery_error, run_recovery)
 from .report import SummaryRow, normalized_density, pareto_front, summarize
 
 __all__ = [
@@ -43,6 +43,6 @@ __all__ = [
     "two_dfsg",
     "ORACLE_MAX_N", "OracleResult", "brute_force_densest",
     "PlantedInstance", "PlantedParams", "RecoveryReport", "recovery_error",
-    "recovery_experiment", "run_recovery",
+    "run_recovery",
     "SummaryRow", "normalized_density", "pareto_front", "summarize",
 ]

@@ -47,8 +47,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_eig_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=TOL,
                    help="eigensolver relative-residual tolerance")
-    p.add_argument("--max-iters", type=int, default=MAX_MATVECS,
-                   help="eigensolver matvec cap")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
 
 
@@ -126,7 +124,7 @@ def _manifest(args, command: str, inputs: list[str], *, algorithm: str | None = 
         command=command, argv=tuple(args._argv), inputs=tuple(inputs),
         algorithm=algorithm, delta=delta,
         tol=getattr(args, "tol", TOL),
-        max_iters=getattr(args, "max_iters", MAX_MATVECS),
+        max_iters=MAX_MATVECS,
         seed=getattr(args, "seed", 0), version=__version__)
 
 
@@ -197,7 +195,7 @@ def _cmd_run(args) -> int:
         t0 = time.perf_counter()
     if name in SPECTRAL_ALGORITHMS:
         record = run_algorithm(name, g, c, delta=args.delta, tol=args.tol,
-                               max_iters=args.max_iters, seed=args.seed)
+                               seed=args.seed)
     elif name == "2dfsg":
         record = two_dfsg(g, c, optimum.node_set)
     elif name == "exact":
@@ -225,6 +223,9 @@ def _cmd_run(args) -> int:
 # distinct instances stay distinct while retrying hypotheses
 _RETRY_STRIDE = 1_000_003
 
+# the thread-count variables of OpenBLAS, OpenMP and MKL
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, object]:
     """One ``planted`` row, keyed by column in order: the instance drawn from
@@ -236,7 +237,7 @@ def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, o
         seed_used = base_seed + attempt * _RETRY_STRIDE
         params = PlantedParams(n=args.n, m=args.m, d=args.d, eps=args.eps,
                                p_bg=args.p_bg, seed=seed_used)
-        instance = generate(params, eig_tol=args.tol, eig_max_iters=args.max_iters)
+        instance = generate(params, eig_tol=args.tol)
         if instance.measured.hypotheses_hold or not args.require_hypotheses:
             break
     else:
@@ -251,8 +252,7 @@ def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, o
         with open(f"{stem}.nodes", "w", encoding="utf-8") as handle:
             for node in instance.planted_set:
                 handle.write(f"{node}\n")
-    report = run_recovery(instance, args.algorithm, delta_policy,
-                          eig_tol=args.tol, eig_max_iters=args.max_iters)
+    report = run_recovery(instance, args.algorithm, delta_policy, eig_tol=args.tol)
     meas = instance.measured
     return {
         "seed": base_seed, "seed_used": seed_used, "n": args.n, "m": args.m,
@@ -286,8 +286,20 @@ def _cmd_planted(args) -> int:
     seeds = range(args.seed, args.seed + args.seeds)
     workers = min(args.jobs, args.seeds)  # a pool starts every worker at once
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, seeds))
+        # imported here so that importing the CLI stays as cheap as it was
+        import multiprocessing
+        # a forked worker inherits a BLAS pool of one thread per CPU, so the
+        # workers are spawned, each told to start one BLAS thread
+        saved = dict(os.environ)
+        os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                rows = list(pool.map(row, seeds))
+        finally:
+            os.environ.clear()
+            os.environ.update(saved)
     else:
         rows = list(map(row, seeds))
     manifest = _manifest(args, "planted", [], algorithm=args.algorithm)
@@ -315,9 +327,7 @@ def _cmd_pareto(args) -> int:
         if name == "2dfsg":
             size, dens, bal = two_dfsg_candidates(g, c, optimum)
         else:
-            size, dens, bal = candidate_trace(name, g, c, tol=args.tol,
-                                              max_iters=args.max_iters,
-                                              seed=args.seed)
+            size, dens, bal = candidate_trace(name, g, c, tol=args.tol, seed=args.seed)
         front = pareto_front(dens, bal, size)
         for s, d, b in zip(size[front].tolist(), dens[front].tolist(),
                            bal[front].tolist()):

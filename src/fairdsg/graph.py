@@ -264,13 +264,6 @@ class LabeledGraph:
         return np.bincount(self.arc_src, weights=self.arc_w * x[self.arc_dst],
                            minlength=self.n)
 
-    def same_structure(self, other: "LabeledGraph") -> bool:
-        """True when both graphs have identical canonical edge arrays."""
-        return (self.n == other.n
-                and np.array_equal(self.edge_u, other.edge_u)
-                and np.array_equal(self.edge_v, other.edge_v)
-                and np.array_equal(self.edge_w, other.edge_w))
-
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.n}, edges={self.num_edges})"
 

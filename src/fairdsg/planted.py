@@ -12,8 +12,8 @@ The recovery experiment runs the sweep on the projected operator with slack
 delta = 16 (eps + theta) and reports the two measured bounds: the recovery
 error against 16 (eps + theta) m and the squared distance between the
 planted indicator and the top projected eigenvector against 4 (eps + theta).
-Bounds are asserted only when the measured hypotheses hold (lambda1 >= 4 lam);
-otherwise the report is marked vacuous.
+Bounds are asserted only when the measured hypotheses hold (lambda1 > 0 and
+lambda1 >= 4 lam); otherwise the report is marked vacuous.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
-from .spectral import MAX_MATVECS, TOL, spectral_profile
+from .spectral import TOL, spectral_profile
 from .sweep import SPECTRAL_ALGORITHMS, SolutionRecord, general_sweep, sweep_eigenvector
 
 # the sweeps the recovery experiment runs: the general (unpaired) ones
@@ -150,8 +150,7 @@ def _background_pairs(rng: np.random.Generator, n: int, m: int,
     return np.column_stack([i, first[i] + (idx - offsets[i])])
 
 
-def generate(params: PlantedParams, *, eig_tol: float = TOL,
-             eig_max_iters: int = MAX_MATVECS) -> PlantedInstance:
+def generate(params: PlantedParams, *, eig_tol: float = TOL) -> PlantedInstance:
     """Sample an instance and measure its recovery hypotheses.
 
     Construction happens on working ids (planted nodes 0..m-1), with
@@ -183,13 +182,13 @@ def generate(params: PlantedParams, *, eig_tol: float = TOL,
     internal_deg = np.bincount(inner.ravel(), minlength=m)
     eps_measured = float(np.max(np.abs(internal_deg - d)) / d) if d else 0.0
     theta = max(0.0, 1.0 - d / graph.d_max) if graph.d_max > 0 else 0.0
-    profile = spectral_profile(graph, tol=eig_tol, max_iters=eig_max_iters,
-                               seed=params.seed)
+    profile = spectral_profile(graph, tol=eig_tol, seed=params.seed)
     measured = PlantedMeasurement(
         d_max=graph.d_max, theta=theta, eps_measured=eps_measured,
         lambda1=profile.lambda1, lambda2=profile.lambda2,
         lambda_n=profile.lambda_n, lam=profile.lam,
-        hypotheses_hold=bool(profile.lambda1 >= 4.0 * profile.lam))
+        hypotheses_hold=bool(profile.lambda1 > 0.0
+                             and profile.lambda1 >= 4.0 * profile.lam))
     return PlantedInstance(params, graph, coloring, planted_set, measured)
 
 
@@ -209,16 +208,11 @@ class RecoveryReport:
     chi_bound: float
     chi_ok: bool
     solution: SolutionRecord
-    measured: PlantedMeasurement
-
-    @property
-    def passed(self) -> bool:
-        return self.error_ok and self.chi_ok
 
 
 def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
-                 delta_policy: str | float = "bound", *, eig_tol: float = TOL,
-                 eig_max_iters: int = MAX_MATVECS) -> RecoveryReport:
+                 delta_policy: str | float = "bound", *,
+                 eig_tol: float = TOL) -> RecoveryReport:
     """Theoretical sweep on a generated instance, with both bound checks."""
     if algorithm not in RECOVERY_ALGORITHMS:
         raise ValueError("recovery sweep supports 'fss' (projected) or 'ss' (raw)")
@@ -228,8 +222,7 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
         delta = 16.0 * (meas.eps_measured + meas.theta)
     else:
         delta = float(delta_policy)
-    vector = sweep_eigenvector(algorithm, g, c, tol=eig_tol, max_iters=eig_max_iters,
-                               seed=instance.params.seed)
+    vector = sweep_eigenvector(algorithm, g, c, tol=eig_tol, seed=instance.params.seed)
     solution = general_sweep(g, c, vector, delta)
 
     m = instance.planted_set.size
@@ -244,14 +237,4 @@ def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
         vacuous=not meas.hypotheses_hold, delta=delta,
         error=err, error_bound=error_bound, error_ok=bool(err <= error_bound),
         chi_dist_sq=chi_dist_sq, chi_bound=chi_bound,
-        chi_ok=bool(chi_dist_sq <= chi_bound + 1e-9), solution=solution, measured=meas)
-
-
-def recovery_experiment(params: PlantedParams, algorithm: str = "fss",
-                        delta_policy: str | float = "bound", *,
-                        eig_tol: float = TOL,
-                        eig_max_iters: int = MAX_MATVECS) -> RecoveryReport:
-    """Generate an instance from ``params`` and run the recovery sweep on it."""
-    instance = generate(params, eig_tol=eig_tol, eig_max_iters=eig_max_iters)
-    return run_recovery(instance, algorithm, delta_policy,
-                        eig_tol=eig_tol, eig_max_iters=eig_max_iters)
+        chi_ok=bool(chi_dist_sq <= chi_bound + 1e-9), solution=solution)

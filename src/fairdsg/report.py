@@ -87,7 +87,11 @@ def summarize(entries: Iterable[tuple[str, float, bool]]) -> list[SummaryRow]:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance header embedded in every CLI output file."""
+    """Provenance header embedded in every CLI output file.
+
+    ``max_iters`` records the eigensolver's fixed matvec cap,
+    :data:`fairdsg.spectral.MAX_MATVECS`, so that older files still parse.
+    """
 
     command: str
     argv: tuple[str, ...]

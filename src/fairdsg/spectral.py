@@ -93,8 +93,8 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if visible.size and v[visible[0]] < 0 else v
 
 
-#: Default eigensolver settings: the relative-residual tolerance and the
-#: matvec cap of every solve.
+#: The default relative-residual tolerance, and the matvec cap of every
+#: solve: a safety stop for a solve that never converges.
 TOL = 1e-8
 MAX_MATVECS = 100_000
 
@@ -102,7 +102,7 @@ MAX_MATVECS = 100_000
 _RESTART = 30
 
 
-def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None = None,
+def _lanczos(op, tol: float, seed: int, lock: np.ndarray | None = None,
              bottom: bool = False) -> tuple[EigenPair, EigenPair]:
     """Top and bottom algebraic eigenpairs (both the top one unless ``bottom``).
 
@@ -111,7 +111,7 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     both ends' Ritz vectors). A pair is accepted only on a fresh product,
     ||op(v) - theta v|| <= tol * max(|theta|, 1, d_max * 2^-52). The unit
     vector ``lock`` is removed from the start and every product;
-    ``max_iters`` caps the matvecs.
+    ``MAX_MATVECS`` caps the matvecs.
 
     The iteration runs on op * unit, unit = 2^-max(0, e - 500) for the binary
     exponent e of ``op.d_max``, so the squared norms of huge weights stay
@@ -122,8 +122,6 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     n = op.n
     if n == 0:
         raise ValueError("operator over an empty graph has no eigenpairs")
@@ -139,10 +137,10 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
 
     def apply(x: np.ndarray) -> np.ndarray:
         nonlocal matvecs
-        if matvecs == max_iters:
+        if matvecs == MAX_MATVECS:
             raise ConvergenceError(
-                f"Lanczos did not converge in {max_iters} matvecs "
-                f"(best relative residual {best:.3e})", best, max_iters)
+                f"Lanczos did not converge in {MAX_MATVECS} matvecs "
+                f"(best relative residual {best:.3e})", best, MAX_MATVECS)
         matvecs += 1
         y = op.matvec(x) * unit
         return y - (lock @ y) * lock
@@ -184,25 +182,23 @@ def _lanczos(op, tol: float, max_iters: int, seed: int, lock: np.ndarray | None 
         ritz = [ys[:, i] @ basis[:j + 1] for i in picks]
 
 
-def dominant_eigenpair(op, tol: float = TOL, max_iters: int = MAX_MATVECS,
-                       seed: int = 0) -> EigenPair:
+def dominant_eigenpair(op, tol: float = TOL, seed: int = 0) -> EigenPair:
     """Largest-algebraic eigenpair of ``op``, by Lanczos.
 
     ``op`` is any symmetric operator exposing ``n``, ``d_max`` and
     ``matvec(x)``: a :class:`LabeledGraph` or a :class:`ProjectedOperator`.
     """
-    return _lanczos(op, tol, max_iters, seed)[0]
+    return _lanczos(op, tol, seed)[0]
 
 
-def second_eigenvalue(op, first: EigenPair, tol: float = TOL,
-                      max_iters: int = MAX_MATVECS, seed: int = 0) -> EigenPair:
+def second_eigenvalue(op, first: EigenPair, tol: float = TOL, seed: int = 0) -> EigenPair:
     """Second-largest algebraic eigenpair: a Lanczos solve with
     ``first.vector`` locked out of the start and of every Lanczos vector.
 
     It is a solve of its own because one Krylov space holds one copy of a
     repeated eigenvalue, so the first solve would miss lambda1 = lambda2.
     """
-    return _lanczos(op, tol, max_iters, seed, lock=first.vector)[0]
+    return _lanczos(op, tol, seed, lock=first.vector)[0]
 
 
 @dataclass(frozen=True)
@@ -215,14 +211,13 @@ class SpectralProfile:
     lam: float
 
 
-def spectral_profile(g: LabeledGraph, tol: float = TOL,
-                     max_iters: int = MAX_MATVECS, seed: int = 0) -> SpectralProfile:
+def spectral_profile(g: LabeledGraph, tol: float = TOL, seed: int = 0) -> SpectralProfile:
     """lambda_1 and lambda_n of A from one Lanczos solve, lambda_2 from
     :func:`second_eigenvalue`, and lam = max(lambda2, |lambda_n|)."""
     if g.n < 2:
         raise ValueError("spectral profile needs at least two nodes")
-    first, last = _lanczos(g, tol, max_iters, seed, bottom=True)
-    second = second_eigenvalue(g, first, tol, max_iters, seed)
+    first, last = _lanczos(g, tol, seed, bottom=True)
+    second = second_eigenvalue(g, first, tol, seed)
     return SpectralProfile(lambda1=first.value, lambda2=second.value,
                            lambda_n=last.value,
                            lam=max(second.value, abs(last.value)))

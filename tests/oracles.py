@@ -26,6 +26,13 @@ from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
 from fairdsg.ingest import IngestError
 
 
+def same_structure(a: LabeledGraph, b: LabeledGraph) -> bool:
+    """True when both graphs have identical canonical edge arrays."""
+    return (a.n == b.n and np.array_equal(a.edge_u, b.edge_u)
+            and np.array_equal(a.edge_v, b.edge_v)
+            and np.array_equal(a.edge_w, b.edge_w))
+
+
 def canonical_edges(n: int, edges):
     """Canonical (u, v, w) lists, self-loops dropped and duplicates merged,
     of (u, v) or (u, v, w) items, with the counts of both; one dict entry

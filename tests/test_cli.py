@@ -331,10 +331,19 @@ def test_planted_command_and_jobs_equivalence(tmp_path):
 
 def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
     import concurrent.futures
+    import multiprocessing
+    import os
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    monkeypatch.setenv("OMP_NUM_THREADS", "7")
+    for name in blas[::2]:
+        monkeypatch.delenv(name, raising=False)
     pools = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            # spawned workers, each started with one BLAS thread
+            assert mp_context is multiprocessing.get_context("spawn")
+            assert [os.environ.get(name) for name in blas] == ["1", "1", "1"]
             pools.append(max_workers)
 
         def __enter__(self):
@@ -351,6 +360,7 @@ def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
     assert main(base + ["--seeds", "3", "--jobs", "64",
                         "--out", str(tmp_path / "a.csv")]) == 0
     assert pools == [3]
+    assert [os.environ.get(name) for name in blas] == [None, "7", None]
     assert main(base + ["--seeds", "1", "--jobs", "64",
                         "--out", str(tmp_path / "b.csv")]) == 0
     assert pools == [3]  # one instance runs without a pool
@@ -361,10 +371,20 @@ def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "c.csv").exists()
 
 
-def test_run_rejects_nonpositive_max_iters(small_graph_file, tmp_path, capsys):
-    assert main(["run", "--input", small_graph_file, "--algorithm", "fss",
-                 "--max-iters", "0", "--out", str(tmp_path / "o.csv")]) == 2
-    assert "max_iters must be at least 1" in capsys.readouterr().err
+def test_run_reports_nonconvergence_and_rejects_max_iters(
+        small_graph_file, tmp_path, monkeypatch, capsys):
+    from fairdsg import spectral
+    monkeypatch.setattr(spectral, "MAX_MATVECS", 3)
+    argv = ["run", "--input", small_graph_file, "--algorithm", "fss",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Lanczos did not converge in 3 matvecs")
+    assert "Traceback" not in err
+    # the matvec cap is a constant, not an option
+    assert main(argv + ["--max-iters", "5"]) == 1
+    assert "unrecognized arguments: --max-iters 5" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_planted_rejects_bad_delta_policy(tmp_path, monkeypatch, capsys):
@@ -781,4 +801,20 @@ def test_planted_on_drawn_parameters(argv):
     with tempfile.TemporaryDirectory() as directory:
         out = Path(directory) / "planted.csv"
         code, err = _run_twice(argv + ["--out", str(out)], out)
-    assert code == 0, err
+        assert code == 0, err
+        _, rows = _rows(str(out))
+    # the guarantee needs lambda1 > 0: an edgeless instance is vacuous
+    for row in rows:
+        if float(row["lambda1"]) == 0.0:
+            assert (row["hypotheses_hold"], row["vacuous"]) == ("false", "true")
+
+
+def test_planted_edgeless_instance_is_vacuous(tmp_path, capsys):
+    out = tmp_path / "planted.csv"
+    assert main(["planted", "--n", "4", "--m", "2", "--d", "0", "--p-bg", "0",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "planted: instances=1 hypotheses_hold=0 both_bounds_ok=0\n")
+    _, (row,) = _rows(str(out))
+    assert (row["lambda1"], row["chi_bound"]) == ("0", "0")
+    assert (row["hypotheses_hold"], row["vacuous"]) == ("false", "true")

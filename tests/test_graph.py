@@ -10,7 +10,7 @@ from fairdsg.graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
                            is_fair)
 
 from conftest import random_graph
-from oracles import argsort_arcs, canonical_edges
+from oracles import argsort_arcs, canonical_edges, same_structure
 
 
 def test_triangle_density_all_nodes(triangle):
@@ -60,7 +60,7 @@ def test_induced_subgraph_examples(triangle, k4):
     assert density(sub, NodeSet([0, 1])) == 1.0
     # identity on the full node set
     full = induced_subgraph(triangle, NodeSet([0, 1, 2]))
-    assert full.same_structure(triangle)
+    assert same_structure(full, triangle)
     # any 3 nodes of K4 induce a triangle
     tri = induced_subgraph(k4, NodeSet([0, 2, 3]))
     assert tri.n == 3 and tri.num_edges == 3
@@ -96,7 +96,7 @@ def test_induced_subgraph_matches_a_build_from_its_edges():
                  if u in rank and v in rank]
         sub = induced_subgraph(g, s)
         ref = LabeledGraph.from_edges(s.size, edges)
-        assert sub.same_structure(ref)
+        assert same_structure(sub, ref)
         assert np.array_equal(sub.arc_src, ref.arc_src)
         assert np.array_equal(sub.degrees, ref.degrees)
         assert sub.n_self_loops_dropped == 0 and sub.n_duplicates_merged == 0
@@ -110,7 +110,7 @@ def test_construction_canonical_under_permutation():
         shuffled = list(edges)
         rng.shuffle(shuffled)
         flipped = [(v, u, w) for u, v, w in shuffled]
-        assert LabeledGraph.from_edges(4, flipped).same_structure(g1)
+        assert same_structure(LabeledGraph.from_edges(4, flipped), g1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -121,7 +121,7 @@ def test_construction_permutation_property(pairs, pyrandom):
     shuffled = list(pairs)
     pyrandom.shuffle(shuffled)
     g2 = LabeledGraph.from_edges(8, shuffled)
-    assert g1.same_structure(g2)
+    assert same_structure(g1, g2)
     assert g1.degrees.sum() == pytest.approx(2 * g1.total_weight)
     assert g1.d_max == (g1.degrees.max() if g1.n else 0.0)
 

@@ -18,7 +18,10 @@ from pathlib import Path
 
 from fairdsg import cli
 from fairdsg.graph import Coloring, LabeledGraph
-from fairdsg.ingest import save_edgelist
+from fairdsg.ingest import load_edgelist, save_edgelist
+from fairdsg.planted import PlantedParams, generate
+
+from oracles import same_structure
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -79,3 +82,15 @@ def test_the_benchmark_tracer_hooks_what_the_library_has(tmp_path):
                 "general_sweep.candidates", "paired_sweep.candidates",
                 "dominant_eigenpair.iterations"):
         assert counts.get(key, 0) > 0, key
+
+
+def test_the_benchmark_setup_calls_keep_their_signatures(tmp_path):
+    """The calls ``RunLarge.prepare`` in ``perfbench/run.py`` makes to build
+    run-10k's input, on a small instance: a changed keyword would turn into a
+    failed benchmark run rather than a failed test."""
+    inst = generate(PlantedParams(n=200, m=40, d=12, eps=0.05, p_bg=0.01, seed=1),
+                    eig_tol=1e-3)
+    path = str(tmp_path / "planted.el")
+    save_edgelist(inst.graph, inst.coloring, path)
+    g, c = load_edgelist(path)
+    assert same_structure(g, inst.graph) and c == inst.coloring
