@@ -44,10 +44,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_eig_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=TOL,
-                   help="eigensolver relative-residual tolerance")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
+def _add_seed_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0,
+                   help="non-negative random seed (default: 0)")
 
 
 def build_parser() -> _Parser:
@@ -78,7 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--timings", choices=("off", "wall"), default="off",
                    help="wall timings break byte determinism; default off")
-    _add_eig_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("planted", help="planted-instance recovery report")
@@ -90,8 +89,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=1,
                    help="number of instances (base seed, base seed + 1, ...)")
     p.add_argument("--algorithm", choices=RECOVERY_ALGORITHMS, default="fss")
-    p.add_argument("--delta-policy", default="bound",
-                   help="'bound' for 16(eps+theta), or a fixed value")
     p.add_argument("--require-hypotheses", action="store_true",
                    help="re-draw seeds until the measured hypotheses hold")
     p.add_argument("--jobs", type=int, default=1)
@@ -99,7 +96,7 @@ def build_parser() -> _Parser:
                    help="also write each instance as DIR/planted_<seed>.el "
                         "plus the hidden set as .nodes")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_eig_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=_cmd_planted)
 
     p = sub.add_parser("pareto", help="per-algorithm candidate Pareto fronts")
@@ -107,7 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--algorithms", default="ss,fss,ps,fps",
                    help="comma list from ss,fss,ps,fps,2dfsg")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_eig_flags(p)
+    _add_seed_flag(p)
     p.set_defaults(func=_cmd_pareto)
 
     p = sub.add_parser("summary", help="aggregate run CSVs per algorithm")
@@ -123,8 +120,7 @@ def _manifest(args, command: str, inputs: list[str], *, algorithm: str | None = 
     return RunManifest(
         command=command, argv=tuple(args._argv), inputs=tuple(inputs),
         algorithm=algorithm, delta=delta,
-        tol=getattr(args, "tol", TOL),
-        max_iters=MAX_MATVECS,
+        tol=TOL, max_iters=MAX_MATVECS,
         seed=getattr(args, "seed", 0), version=__version__)
 
 
@@ -194,8 +190,7 @@ def _cmd_run(args) -> int:
     if name not in ("2dfsg", "exact"):
         t0 = time.perf_counter()
     if name in SPECTRAL_ALGORITHMS:
-        record = run_algorithm(name, g, c, delta=args.delta, tol=args.tol,
-                               seed=args.seed)
+        record = run_algorithm(name, g, c, delta=args.delta, seed=args.seed)
     elif name == "2dfsg":
         record = two_dfsg(g, c, optimum.node_set)
     elif name == "exact":
@@ -227,7 +222,7 @@ _RETRY_STRIDE = 1_000_003
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, object]:
+def _planted_row(args, base_seed: int) -> dict[str, object]:
     """One ``planted`` row, keyed by column in order: the instance drawn from
     ``base_seed`` (re-drawn while --require-hypotheses fails), its recovery."""
     attempts = 100 if args.require_hypotheses else 1
@@ -237,7 +232,7 @@ def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, o
         seed_used = base_seed + attempt * _RETRY_STRIDE
         params = PlantedParams(n=args.n, m=args.m, d=args.d, eps=args.eps,
                                p_bg=args.p_bg, seed=seed_used)
-        instance = generate(params, eig_tol=args.tol)
+        instance = generate(params)
         if instance.measured.hypotheses_hold or not args.require_hypotheses:
             break
     else:
@@ -252,7 +247,7 @@ def _planted_row(args, delta_policy: str | float, base_seed: int) -> dict[str, o
         with open(f"{stem}.nodes", "w", encoding="utf-8") as handle:
             for node in instance.planted_set:
                 handle.write(f"{node}\n")
-    report = run_recovery(instance, args.algorithm, delta_policy, eig_tol=args.tol)
+    report = run_recovery(instance, args.algorithm)
     meas = instance.measured
     return {
         "seed": base_seed, "seed_used": seed_used, "n": args.n, "m": args.m,
@@ -274,15 +269,9 @@ def _cmd_planted(args) -> int:
         raise ValueError("--seeds must be at least 1")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
-    policy = args.delta_policy
-    if policy != "bound":
-        policy = float(policy)
-        if not policy >= 0:
-            raise ValueError(f"--delta-policy must be 'bound' or a non-negative "
-                             f"number, got {args.delta_policy!r}")
     if args.save_instances is not None:
         os.makedirs(args.save_instances, exist_ok=True)
-    row = functools.partial(_planted_row, args, policy)
+    row = functools.partial(_planted_row, args)
     seeds = range(args.seed, args.seed + args.seeds)
     workers = min(args.jobs, args.seeds)  # a pool starts every worker at once
     if workers > 1:
@@ -327,7 +316,7 @@ def _cmd_pareto(args) -> int:
         if name == "2dfsg":
             size, dens, bal = two_dfsg_candidates(g, c, optimum)
         else:
-            size, dens, bal = candidate_trace(name, g, c, tol=args.tol, seed=args.seed)
+            size, dens, bal = candidate_trace(name, g, c, seed=args.seed)
         front = pareto_front(dens, bal, size)
         for s, d, b in zip(size[front].tolist(), dens[front].tolist(),
                            bal[front].tolist()):
@@ -382,8 +371,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(code) if isinstance(code, int) else 0
     args._argv = argv
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be non-negative")
         return args.func(args)
-    except (IngestError, ConvergenceError, OSError, ValueError, MemoryError) as exc:
+    except (IngestError, ConvergenceError, OSError, ValueError, MemoryError,
+            concurrent.futures.BrokenExecutor) as exc:
         # a MemoryError from numpy names the allocation, a bare one is empty
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -1,5 +1,5 @@
 """Exhaustive ground truth for small instances: the densest node set,
-optionally restricted to fair sets and to a size cap.
+optionally restricted to fair sets.
 
 Enumeration walks all non-empty subsets in Gray-code order, so each step
 toggles a single node and the internal edge weight updates incrementally.
@@ -22,11 +22,9 @@ class OracleResult:
     feasible: bool
 
 
-def brute_force_densest(g: LabeledGraph, c: Coloring | None = None, *,
-                        max_size: int | None = None) -> OracleResult:
+def brute_force_densest(g: LabeledGraph, c: Coloring | None = None) -> OracleResult:
     """Exact maximizer of density over the non-empty node sets, restricted
-    to fair sets (as many red as blue nodes) when the coloring ``c`` is given
-    and to at most ``max_size`` nodes when that is given.
+    to fair sets (as many red as blue nodes) when the coloring ``c`` is given.
 
     Ties prefer smaller sets, then the lexicographically smallest member
     tuple. When no set qualifies, for instance under a coloring with an
@@ -34,8 +32,6 @@ def brute_force_densest(g: LabeledGraph, c: Coloring | None = None, *,
     """
     if g.n > ORACLE_MAX_N:
         raise ValueError("instance too large for oracle")
-    if max_size is not None and max_size < 1:
-        raise ValueError(f"max_size must be at least 1, got {max_size}")
     n = g.n
     adj = [[] for _ in range(n)]
     for u, v, w in g.edges():
@@ -73,8 +69,6 @@ def brute_force_densest(g: LabeledGraph, c: Coloring | None = None, *,
             if codes is not None and codes[bit] == RED:
                 red += 1
         if codes is not None and 2 * red != size:
-            continue
-        if max_size is not None and size > max_size:
             continue
         dens = 2.0 * w_in / size
         if best_dens is None or dens > best_dens:

@@ -210,24 +210,20 @@ class RecoveryReport:
     solution: SolutionRecord
 
 
-def run_recovery(instance: PlantedInstance, algorithm: str = "fss",
-                 delta_policy: str | float = "bound", *,
-                 eig_tol: float = TOL) -> RecoveryReport:
-    """Theoretical sweep on a generated instance, with both bound checks."""
+def run_recovery(instance: PlantedInstance, algorithm: str = "fss") -> RecoveryReport:
+    """Theoretical sweep on a generated instance, with slack
+    delta = 16 (eps + theta), and both bound checks."""
     if algorithm not in RECOVERY_ALGORITHMS:
         raise ValueError("recovery sweep supports 'fss' (projected) or 'ss' (raw)")
     g, c = instance.graph, instance.coloring
     meas = instance.measured
-    if delta_policy == "bound":
-        delta = 16.0 * (meas.eps_measured + meas.theta)
-    else:
-        delta = float(delta_policy)
-    vector = sweep_eigenvector(algorithm, g, c, tol=eig_tol, seed=instance.params.seed)
+    delta = 16.0 * (meas.eps_measured + meas.theta)
+    vector = sweep_eigenvector(algorithm, g, c, seed=instance.params.seed)
     solution = general_sweep(g, c, vector, delta)
 
     m = instance.planted_set.size
     err = recovery_error(instance.planted_set, solution.node_set)
-    error_bound = 16.0 * (meas.eps_measured + meas.theta) * m
+    error_bound = delta * m
     chi = instance.planted_set.indicator(g.n)
     vec = -vector if chi @ vector < 0 else vector
     chi_dist_sq = float(np.sum((chi - vec) ** 2))

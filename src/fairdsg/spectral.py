@@ -29,6 +29,11 @@ class ConvergenceError(Exception):
         self.best_residual = best_residual
         self.iterations = iterations
 
+    def __reduce__(self):
+        # pickled across a process pool with all three arguments, not only
+        # the message that Exception keeps in ``args``
+        return type(self), (str(self), self.best_residual, self.iterations)
+
 
 def fairness_vector(c: Coloring) -> np.ndarray:
     """Read-only unit vector with +1/sqrt(n) entries on red nodes, -1/sqrt(n)

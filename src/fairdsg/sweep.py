@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import RED, Coloring, LabeledGraph, NodeSet, balance, color_counts, density
-from .spectral import TOL, ProjectedOperator, dominant_eigenpair
+from .spectral import ProjectedOperator, dominant_eigenpair
 
 
 class Ordering(Enum):
@@ -202,22 +202,22 @@ def paired_sweep(g: LabeledGraph, c: Coloring, v: np.ndarray,
     return _record(g, c, steps, _best(dens))
 
 
-def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring, *, tol: float = TOL,
+def sweep_eigenvector(name: str, g: LabeledGraph, c: Coloring, *,
                       seed: int = 0) -> np.ndarray:
     """Top eigenvector a sweep algorithm rounds: of the projected operator
     for fss and fps, of the raw adjacency for ss and ps; ValueError for others.
-    ``tol`` and ``seed`` go to :func:`dominant_eigenpair`."""
+    ``seed`` goes to :func:`dominant_eigenpair`."""
     if name not in SPECTRAL_ALGORITHMS:
         raise ValueError(f"unknown sweep algorithm {name!r}")
     projected, _ = SPECTRAL_ALGORITHMS[name]
     op = ProjectedOperator(g, c) if projected else g
-    return dominant_eigenpair(op, tol=tol, seed=seed).vector
+    return dominant_eigenpair(op, seed=seed).vector
 
 
 def run_algorithm(name: str, g: LabeledGraph, c: Coloring, *, delta: float = 0.0,
-                  tol: float = TOL, seed: int = 0) -> SolutionRecord:
+                  seed: int = 0) -> SolutionRecord:
     """The record of one of ss / fss / ps / fps on ``g``, with the
-    eigensolver settings of :func:`sweep_eigenvector`.
+    eigenvector of :func:`sweep_eigenvector`.
 
     ss and fss sweep with the imbalance slack ``delta`` (the recovery
     guarantee uses delta = 16 (eps + theta); the experimental defaults use
@@ -226,24 +226,24 @@ def run_algorithm(name: str, g: LabeledGraph, c: Coloring, *, delta: float = 0.0
     """
     if not delta >= 0:
         raise ValueError("delta must be non-negative")
-    v = sweep_eigenvector(name, g, c, tol=tol, seed=seed)
+    v = sweep_eigenvector(name, g, c, seed=seed)
     _, paired = SPECTRAL_ALGORITHMS[name]
     if paired:
         return paired_sweep(g, c, v)
     return general_sweep(g, c, v, delta)
 
 
-def candidate_trace(name: str, g: LabeledGraph, c: Coloring, *, tol: float = TOL,
+def candidate_trace(name: str, g: LabeledGraph, c: Coloring, *,
                     seed: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(size, density, balance) arrays of all candidates one algorithm
-    examines, with the eigensolver settings of :func:`sweep_eigenvector`.
+    examines, with the eigenvector of :func:`sweep_eigenvector`.
 
     Emission order is deterministic: orderings in enumeration order, then
     prefix size ascending. The general sweep emits exactly
     len(orderings) * n candidates, the paired sweep
     len(orderings) * min(n_red, n_blue).
     """
-    v = sweep_eigenvector(name, g, c, tol=tol, seed=seed)
+    v = sweep_eigenvector(name, g, c, seed=seed)
     _, paired = SPECTRAL_ALGORITHMS[name]
     _, size, dens, red = _scan(g, c, v, ALL_ORDERINGS, paired)
     return size.ravel(), dens.ravel(), _balance(size, red).ravel()

@@ -95,10 +95,29 @@ def dense_projected(g, f: np.ndarray) -> np.ndarray:
     return p @ dense_adjacency(g) @ p
 
 
+def _round_robin(n: int):
+    """The n - 1 rounds of a round-robin tournament of an even number n of
+    players: each round is n/2 disjoint pairs (p, q) with p < q, as two index
+    arrays, and every pair meets in exactly one round."""
+    order = list(range(n))
+    for _ in range(n - 1):
+        a, b = np.array(order[: n // 2]), np.array(order[: n // 2 - 1:-1])
+        yield np.minimum(a, b), np.maximum(a, b)
+        order.insert(1, order.pop())
+
+
 def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12,
                        max_sweeps: int = 100) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations,
-    sorted in non-increasing order."""
+    """All eigenvalues of a symmetric matrix by Jacobi rotations, sorted in
+    non-increasing order.
+
+    A sweep rotates every pair (p, q) once, in the round-robin parallel
+    ordering (Brent and Luk, SIAM J. Sci. Stat. Comput. 6(1), 1985): each of
+    its n - 1 rounds applies the rotations of n/2 disjoint pairs at once, as
+    m = J^T m J with one orthogonal J, then sets each pair's 2x2 block in
+    closed form. An odd n is padded with a zero row and column, which no
+    rotation changes, and the padding's eigenvalue 0 is dropped at the end.
+    """
     m = np.array(matrix, dtype=np.float64)
     n = m.shape[0]
     if m.shape != (n, n):
@@ -108,29 +127,28 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = 1e-12,
     scale = np.linalg.norm(m)
     if scale == 0.0:
         return np.zeros(n)
+    size = n + n % 2
+    m = np.pad(m, (0, size - n))
+    rounds = list(_round_robin(size))
+    eye = np.eye(size)
     for _ in range(max_sweeps):
         off = np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
         if off <= tol * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = m.item(p, q)
-                if abs(apq) <= 1e-300:
-                    continue
-                app, aqq = m.item(p, p), m.item(q, q)
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) \
-                    if tau != 0 else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # rotate rows p and q, set the 2x2 block in closed form, and
-                # mirror the rows into the columns (the matrix stays symmetric)
-                row_p, row_q = m[p], m[q]
-                m[p], m[q] = c * row_p - s * row_q, s * row_p + c * row_q
-                m[p, p], m[q, q] = app - t * apq, aqq + t * apq
-                m[p, q] = m[q, p] = 0.0
-                m[:, p], m[:, q] = m[p], m[q]
-    return np.sort(np.diagonal(m))[::-1]
+        for p, q in rounds:
+            apq, app, aqq = m[p, q], m[p, p], m[q, q]
+            live = np.abs(apq) > 1e-300  # the others are left unrotated
+            tau = (aqq - app) / np.where(live, 2.0 * apq, 1.0)
+            t = np.where(tau < 0, -1.0, 1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            t = np.where(live, t, 0.0)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            j = eye.copy()
+            j[p, p], j[q, q], j[p, q], j[q, p] = c, c, s, -s
+            m = j.T @ m @ j
+            m[p, p], m[q, q] = app - t * apq, aqq + t * apq
+            m[p, q] = m[q, p] = 0.0
+    return np.sort(np.diagonal(m)[:n])[::-1]
 
 
 def subset_density(a: np.ndarray, members) -> float:

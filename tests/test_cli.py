@@ -159,11 +159,46 @@ def test_run_rejects_nan_or_negative_delta(small_graph_file, tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_run_rejects_nan_or_infinite_tol(small_graph_file, tmp_path, capsys):
-    for tol in ("nan", "inf"):
-        assert main(["run", "--input", small_graph_file, "--algorithm", "fps",
-                     "--tol", tol, "--out", str(tmp_path / "o.csv")]) == 2
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "fps", "--tol", "1e-6"],
+    ["pareto", "--tol", "1e-6"],
+    ["planted", "--n", "40", "--m", "8", "--d", "7", "--tol", "1e-6"],
+    ["planted", "--n", "40", "--m", "8", "--d", "7", "--delta-policy", "bound"],
+], ids=["run-tol", "pareto-tol", "planted-tol", "planted-delta-policy"])
+def test_removed_options_are_usage_errors(small_graph_file, tmp_path, capsys, argv):
+    # the eigensolver tolerance is spectral.TOL and planted's slack is
+    # always 16 (eps + theta)
+    command, rest = argv[0], argv[1:]
+    if command != "planted":
+        rest = ["--input", small_graph_file, *rest]
+    assert main([command, *rest, "--out", str(tmp_path / "o.csv")]) == 1
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algorithm", "fss"],
+    ["run", "--algorithm", "exact"],
+    ["run", "--algorithm", "2dfsg"],
+    ["pareto"],
+    ["pareto", "--algorithms", "2dfsg"],
+    ["planted", "--n", "40", "--m", "8", "--d", "7"],
+], ids=["run-fss", "run-exact", "run-2dfsg", "pareto", "pareto-2dfsg", "planted"])
+def test_negative_seed_rejected_before_any_input_is_read(
+        small_graph_file, tmp_path, monkeypatch, capsys, argv):
+    import fairdsg.cli
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an input was read or generated")
+
+    monkeypatch.setattr(fairdsg.cli, "load_edgelist", no_read)
+    monkeypatch.setattr(fairdsg.cli, "generate", no_read)
+    command, rest = argv[0], argv[1:]
+    if command != "planted":
+        rest = ["--input", small_graph_file, *rest]
+    assert main([command, *rest, "--seed", "-1",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: --seed must be non-negative\n"
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -333,6 +368,7 @@ def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
     import concurrent.futures
     import multiprocessing
     import os
+    from concurrent.futures.process import BrokenProcessPool
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     monkeypatch.setenv("OMP_NUM_THREADS", "7")
     for name in blas[::2]:
@@ -353,8 +389,12 @@ def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
             return False
 
         def map(self, fn, tasks):
+            if broken:
+                raise BrokenProcessPool("A process in the process pool was "
+                                        "terminated abruptly")
             return map(fn, tasks)
 
+    broken = False
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     base = ["planted", "--n", "40", "--m", "8", "--d", "7", "--seed", "3"]
     assert main(base + ["--seeds", "3", "--jobs", "64",
@@ -368,6 +408,13 @@ def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):
     for jobs in ("0", "-2"):
         assert main(base + ["--jobs", jobs, "--out", str(tmp_path / "c.csv")]) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
+    # a worker that dies (killed for memory, say) is a data error, not a traceback
+    broken = True
+    assert main(base + ["--seeds", "2", "--jobs", "2",
+                        "--out", str(tmp_path / "c.csv")]) == 2
+    assert capsys.readouterr().err == ("error: A process in the process pool "
+                                       "was terminated abruptly\n")
+    assert [os.environ.get(name) for name in blas] == [None, "7", None]
     assert not (tmp_path / "c.csv").exists()
 
 
@@ -385,22 +432,6 @@ def test_run_reports_nonconvergence_and_rejects_max_iters(
     assert main(argv + ["--max-iters", "5"]) == 1
     assert "unrecognized arguments: --max-iters 5" in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
-
-
-def test_planted_rejects_bad_delta_policy(tmp_path, monkeypatch, capsys):
-    import fairdsg.cli
-
-    def no_generate(*args, **kwargs):
-        raise AssertionError("an instance was generated")
-
-    monkeypatch.setattr(fairdsg.cli, "generate", no_generate)
-    for policy, message in (("nan", "--delta-policy must be 'bound' or a non-negative"),
-                            ("-0.5", "--delta-policy must be 'bound' or a non-negative"),
-                            ("loose", "could not convert string to float")):
-        assert main(["planted", "--n", "40", "--m", "8", "--d", "7",
-                     "--delta-policy", policy, "--out", str(tmp_path / "p.csv")]) == 2
-        assert message in capsys.readouterr().err
-    assert not (tmp_path / "p.csv").exists()
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 745. GiB", ""])

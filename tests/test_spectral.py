@@ -271,6 +271,15 @@ def test_nonconvergence_raises_with_best_residual(k22, monkeypatch):
     assert err.value.iterations == 3
 
 
+def test_convergence_error_survives_a_pickle_round_trip():
+    # a planted --jobs worker hands its exception to the parent by pickle
+    import pickle
+    err = pickle.loads(pickle.dumps(ConvergenceError("no luck", 0.5, 3)))
+    assert type(err) is ConvergenceError
+    assert str(err) == "no luck"
+    assert (err.best_residual, err.iterations) == (0.5, 3)
+
+
 def test_nan_or_infinite_tol_rejected_before_any_matvec(k22):
     products = []
 

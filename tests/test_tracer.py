@@ -13,6 +13,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import types
 from pathlib import Path
 
@@ -63,6 +64,20 @@ def test_the_benchmark_tracer_hooks_what_the_library_has(tmp_path):
                 for name in ("fss", "ps", "2dfsg")]
     commands.append(["pareto", "--input", path, "--algorithms", "ss,2dfsg",
                      "--out", str(tmp_path / "front.csv")])
+    # amazon-pipeline's commands, in the argv shapes perfbench/run.py uses
+    meta = tmp_path / "meta.jsonl"
+    ring = [(f"A{i}", "Books" if i % 2 else "Toys") for i in range(8)]
+    meta.write_text("".join(
+        json.dumps({"asin": asin, "main_cat": cat,
+                    "also_buy": [a for a, _ in ring if a != asin]}) + "\n"
+        for asin, cat in ring), encoding="utf-8")
+    pairs = tmp_path / "pairs"
+    commands.append(["ingest-amazon", "--input", str(meta), "--out-dir", str(pairs),
+                     "--min-nodes", "4"])
+    runs = [str(tmp_path / f"runs_{name}.csv") for name in ("fps", "2dfsg")]
+    commands += [["run", "--input", str(pairs / "books_toys.el"), "--algorithm",
+                  name, "--out", out] for name, out in zip(("fps", "2dfsg"), runs)]
+    commands.append(["summary", "--input", *runs, "--out", str(tmp_path / "s.csv")])
 
     before = _bindings(tracer)
     spans = tracer.Tracer()
@@ -80,7 +95,8 @@ def test_the_benchmark_tracer_hooks_what_the_library_has(tmp_path):
     counts = tracer.counters(spans.spans)
     for key in ("max_flow.arcs", "exact_densest_subgraph.bisection",
                 "general_sweep.candidates", "paired_sweep.candidates",
-                "dominant_eigenpair.iterations"):
+                "dominant_eigenpair.iterations", "parse_amazon_jsonl.records",
+                "category_pair_subgraphs.pairs", "two_dfsg.size"):
         assert counts.get(key, 0) > 0, key
 
 
