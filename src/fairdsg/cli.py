@@ -174,7 +174,9 @@ def _cmd_ingest_amazon(args) -> int:
                            "n", "n_red", "n_blue", "edges"],
                   index_rows, manifest)
     print(f"amazon: records={stats.n_records} skipped_lines={skipped} "
-          f"nodes={graph.n} edges={graph.num_edges} pairs={len(pairs)}")
+          f"nodes={graph.n} edges={graph.num_edges} pairs={len(pairs)} "
+          f"duplicate_asins={stats.n_duplicate_asins} "
+          f"missing_refs={stats.n_missing_refs} self_refs={stats.n_self_refs}")
     return 0
 
 

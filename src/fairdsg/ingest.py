@@ -233,44 +233,38 @@ def parse_amazon_jsonl(lines: Iterable[str]) -> tuple[list[ProductRecord], int]:
     return records, skipped
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProductGraphStats:
-    n_records: int = 0
-    n_duplicate_asins: int = 0
-    n_missing_refs: int = 0
-    n_self_refs: int = 0
+    n_records: int
+    n_duplicate_asins: int
+    n_missing_refs: int
+    n_self_refs: int
 
 
 def build_product_graph(records: Iterable[ProductRecord],
                         ) -> tuple[LabeledGraph, list[str], ProductGraphStats]:
     """Undirected co-purchase graph over asins.
 
-    Edges are the symmetrized union of also_buy references; self-references
-    and references to absent asins are dropped (and counted). Node ids are
-    assigned in sorted asin order so ingestion is input-order independent.
+    The first record of an asin wins. Edges are the symmetrized union of
+    also_buy references, each of unit weight; self-references and references
+    to absent asins are dropped (and counted). Node ids are assigned in
+    sorted asin order so ingestion is input-order independent.
     """
-    stats = ProductGraphStats()
     by_asin: dict[str, ProductRecord] = {}
-    for rec in records:
-        stats.n_records += 1
-        if rec.asin in by_asin:
-            stats.n_duplicate_asins += 1
-            continue
-        by_asin[rec.asin] = rec
-    asins = sorted(by_asin)
-    index = {a: i for i, a in enumerate(asins)}
-    refs = [(i, index.get(t, -1)) for i, a in enumerate(asins)
-            for t in by_asin[a].also_buy]
-    src, dst = np.array(refs, dtype=np.int64).reshape(-1, 2).T
-    stats.n_self_refs = int(np.count_nonzero(src == dst))
-    stats.n_missing_refs = int(np.count_nonzero(dst < 0))
+    n_records = 0
+    for n_records, rec in enumerate(records, start=1):
+        by_asin.setdefault(rec.asin, rec)
+    kept = [by_asin[a] for a in sorted(by_asin)]
+    n = len(kept)
+    index = {r.asin: i for i, r in enumerate(kept)}
+    src = np.repeat(np.arange(n, dtype=np.int64), [len(r.also_buy) for r in kept])
+    dst = np.array([index.get(t, -1) for r in kept for t in r.also_buy], dtype=np.int64)
     linked = (src != dst) & (dst >= 0)
     lo, hi = np.minimum(src, dst)[linked], np.maximum(src, dst)[linked]
-    # one unit-weight edge per linked pair, however often it is listed
-    edges = np.divmod(np.unique(lo * len(asins) + hi), len(asins))
-    graph = LabeledGraph.from_arrays(len(asins), *edges)
-    categories = [by_asin[a].main_cat for a in asins]
-    return graph, categories, stats
+    graph = LabeledGraph.from_arrays(n, *np.divmod(np.unique(lo * n + hi), n))
+    stats = ProductGraphStats(n_records, n_records - n, int(np.count_nonzero(dst < 0)),
+                              int(np.count_nonzero(src == dst)))
+    return graph, [r.main_cat for r in kept], stats
 
 
 @dataclass(frozen=True)
@@ -290,27 +284,31 @@ def category_pair_subgraphs(graph: LabeledGraph, categories: list[str],
     with at least one neighbor of the other category (tested in the full
     graph), then the subgraph they induce. The lexicographically first
     category colors Red. Pairs with fewer than ``min_nodes`` nodes are
-    skipped.
+    skipped. Categories are compared as Python strings, so two that differ
+    only by trailing NULs, which a numpy string array strips, stay apart.
     """
     if min_nodes < 1:
         raise ValueError("min_nodes must be at least 1")
     if len(categories) != graph.n:
         raise ValueError("categories length must equal the node count")
-    names, code = np.unique(np.array(categories, dtype=str), return_inverse=True)
+    code_of = {c: k for k, c in enumerate(sorted(set(categories)))}
+    names = list(code_of)
+    code = np.array([code_of[c] for c in categories], dtype=np.int64)
     cu, cv = code[graph.edge_u], code[graph.edge_v]
     cross = cu != cv
-    # one (pair, node) row per end of a cross edge; the pair of category
-    # codes c1 < c2 is c1 * k + c2 over k categories
-    pair = (np.minimum(cu, cv) * names.size + np.maximum(cu, cv))[cross]
+    # a cross edge's pair c1 < c2 is c1 * k + c2 over k categories; each end
+    # is one (pair, node) row, keyed by the pair's rank so as to fit int64
+    pair, rank = np.unique((np.minimum(cu, cv) * len(names)
+                            + np.maximum(cu, cv))[cross], return_inverse=True)
     ends = np.concatenate([graph.edge_u[cross], graph.edge_v[cross]])
-    pair_of, node = np.unique(np.column_stack([np.tile(pair, 2), ends]), axis=0).T
-    starts = np.flatnonzero(np.diff(pair_of, prepend=-1))
+    rank_of, node = np.divmod(np.unique(np.tile(rank, 2) * graph.n + ends), graph.n)
+    starts = np.flatnonzero(np.diff(rank_of, prepend=-1))
     out = []
-    for p, ids in zip(pair_of[starts].tolist(), np.split(node, starts[1:])):
+    for p, ids in zip(pair[rank_of[starts]].tolist(), np.split(node, starts[1:])):
         if ids.size < min_nodes:
             continue
-        red, blue = divmod(p, names.size)
-        c1, c2 = str(names[red]), str(names[blue])
+        red, blue = divmod(p, len(names))
+        c1, c2 = names[red], names[blue]
         coloring = Coloring(np.where(code[ids] == red, RED, BLUE))
         out.append(CategoryPairSubgraph(
             name=f"{c1}__{c2}", red_category=c1, blue_category=c2,

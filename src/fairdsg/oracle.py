@@ -3,6 +3,8 @@ optionally restricted to fair sets.
 
 Enumeration walks all non-empty subsets in Gray-code order, so each step
 toggles a single node and the internal edge weight updates incrementally.
+That weight is kept exactly: the edge weights are scaled by the smallest
+power of two that makes them all integers, so exact ties stay ties.
 Total cost is O(2^n * max_degree), capped at n = 20.
 """
 
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import RED, Coloring, LabeledGraph, NodeSet
+from .graph import RED, Coloring, LabeledGraph, NodeSet, density
 
 ORACLE_MAX_N = 20
 
@@ -28,56 +30,54 @@ def brute_force_densest(g: LabeledGraph, c: Coloring | None = None) -> OracleRes
 
     Ties prefer smaller sets, then the lexicographically smallest member
     tuple. When no set qualifies, for instance under a coloring with an
-    empty class, the result is empty and flagged infeasible.
+    empty class, the result is empty and flagged infeasible. The density
+    is reported as :func:`~fairdsg.graph.density` computes it.
     """
     if g.n > ORACLE_MAX_N:
         raise ValueError("instance too large for oracle")
     n = g.n
+    edges = [(u, v, *w.as_integer_ratio()) for u, v, w in g.edges()]
+    scale = max((den for *_, den in edges), default=1)
+    # bit b of a walk step's mask is node n - 1 - b, so of two sets of one
+    # size the one with the larger mask has the smaller member tuple
     adj = [[] for _ in range(n)]
-    for u, v, w in g.edges():
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    codes = c.codes if c is not None else None
+    for u, v, num, den in edges:
+        adj[n - 1 - u].append((n - 1 - v, num * (scale // den)))
+        adj[n - 1 - v].append((n - 1 - u, num * (scale // den)))
+    is_red = [c is not None and c.codes[v] == RED for v in reversed(range(n))]
 
     in_set = [False] * n
-    members: set[int] = set()
-    w_in = 0.0
+    w_in = 0
     size = 0
     red = 0
-    best_dens = None
-    best_size = 0
-    best_tup: tuple[int, ...] = ()
-    found = False
+    # per set size, the largest internal weight seen (-1: none) and the
+    # largest mask that reaches it; step i's mask is the Gray code i ^ (i >> 1)
+    top_w = [-1] * (n + 1)
+    top_mask = [0] * (n + 1)
     for i in range(1, 1 << n):
         bit = (i & -i).bit_length() - 1
-        delta = 0.0
+        delta = 0
         for j, w in adj[bit]:
             if in_set[j]:
                 delta += w
-        if in_set[bit]:
-            in_set[bit] = False
-            members.discard(bit)
-            w_in -= delta
-            size -= 1
-            if codes is not None and codes[bit] == RED:
-                red -= 1
-        else:
-            in_set[bit] = True
-            members.add(bit)
-            w_in += delta
-            size += 1
-            if codes is not None and codes[bit] == RED:
-                red += 1
-        if codes is not None and 2 * red != size:
+        step = -1 if in_set[bit] else 1
+        in_set[bit] = step > 0
+        w_in += step * delta
+        size += step
+        if is_red[bit]:
+            red += step
+        if c is not None and 2 * red != size:
             continue
-        dens = 2.0 * w_in / size
-        if best_dens is None or dens > best_dens:
-            best_dens, best_size, best_tup = dens, size, tuple(sorted(members))
-            found = True
-        elif dens == best_dens and size <= best_size:
-            tup = tuple(sorted(members))
-            if size < best_size or tup < best_tup:
-                best_size, best_tup = size, tup
-    if not found:
+        if w_in > top_w[size]:
+            top_w[size], top_mask[size] = w_in, i ^ (i >> 1)
+        elif w_in == top_w[size] and i ^ (i >> 1) > top_mask[size]:
+            top_mask[size] = i ^ (i >> 1)
+    # the densest size, the smaller on a tie, by cross-multiplication
+    best = 0
+    for k in range(1, n + 1):
+        if top_w[k] >= 0 and (not best or top_w[k] * best > top_w[best] * k):
+            best = k
+    if not best:
         return OracleResult(NodeSet(), 0.0, feasible=False)
-    return OracleResult(NodeSet(best_tup), float(best_dens), feasible=True)
+    best_set = NodeSet([n - 1 - b for b in range(n) if top_mask[best] >> b & 1])
+    return OracleResult(best_set, density(g, best_set), feasible=True)

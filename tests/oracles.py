@@ -7,9 +7,11 @@ subset/cut enumeration instead of flow, a full prefix re-scan instead
 of the incremental sweep and the 2dfsg prefix sums, a quadratic dominance
 filter instead of the sorted Pareto front, per-token Python parsing instead
 of numpy's text reader, a per-node stack peel instead of the batched first
-wave, one argsort of every arc instead of the reverse-arc merge, and a
+wave, one argsort of every arc instead of the reverse-arc merge, a
 Dinic over per-node arc lists, with a Python BFS and a DFS over every arc,
-instead of the array network's numpy BFS and admissible-arc DFS.
+instead of the array network's numpy BFS and admissible-arc DFS, and
+per-record dicts and sets instead of the id arrays and 1-D keys of the
+product-graph ingestion.
 """
 
 from __future__ import annotations
@@ -495,3 +497,51 @@ def stack_peel_core(g):
         if rho <= lower:
             return kept, core
         lower = rho
+
+
+def product_graph_reference(records):
+    """``build_product_graph`` by dicts and sets: (sorted edges (u, v) with
+    u < v, categories, (records, duplicate asins, missing refs, self refs))."""
+    first = {}
+    n_records = n_duplicates = 0
+    for rec in records:
+        n_records += 1
+        if rec.asin in first:
+            n_duplicates += 1
+        else:
+            first[rec.asin] = rec
+    asins = sorted(first)
+    index = {a: i for i, a in enumerate(asins)}
+    edges = set()
+    missing = self_refs = 0
+    for i, a in enumerate(asins):
+        for target in first[a].also_buy:
+            if target not in index:
+                missing += 1
+            elif index[target] == i:
+                self_refs += 1
+            else:
+                edges.add((min(i, index[target]), max(i, index[target])))
+    return (sorted(edges), [first[a].main_cat for a in asins],
+            (n_records, n_duplicates, missing, self_refs))
+
+
+def category_pairs_reference(edges, categories, min_nodes):
+    """``category_pair_subgraphs`` by sets: one (name, red category, blue
+    category, color labels, sorted relabelled edges) per kept pair, in
+    (c1, c2) order."""
+    nodes_of = {}
+    for u, v in edges:
+        if categories[u] != categories[v]:
+            pair = tuple(sorted((categories[u], categories[v])))
+            nodes_of.setdefault(pair, set()).update((u, v))
+    out = []
+    for (c1, c2), nodes in sorted(nodes_of.items()):
+        if len(nodes) < min_nodes:
+            continue
+        new_id = {u: k for k, u in enumerate(sorted(nodes))}
+        colors = "".join("R" if categories[u] == c1 else "B" for u in sorted(nodes))
+        sub = sorted((new_id[u], new_id[v]) for u, v in edges
+                     if u in nodes and v in nodes)
+        out.append((f"{c1}__{c2}", c1, c2, colors, sub))
+    return out

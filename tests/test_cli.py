@@ -325,6 +325,40 @@ def test_ingest_amazon_pair_files_with_line_breaks_in_categories_run(tmp_path):
                      "--out", str(tmp_path / "run.csv")]) == 0
 
 
+def test_ingest_amazon_prints_the_counts_it_drops(tmp_path, capsys):
+    src = tmp_path / "meta.jsonl"
+    src.write_text(JSONL + "\n" + "\n".join([
+        '{"asin": "A5", "main_cat": "Music", "also_buy": ["A5", "ZZ", "A1"]}',
+        '{"asin": "A1", "main_cat": "Music", "also_buy": ["A3"]}']) + "\n",
+        encoding="utf-8")
+    assert main(["ingest-amazon", "--input", str(src),
+                 "--out-dir", str(tmp_path / "pairs"), "--min-nodes", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "amazon: records=6 skipped_lines=1 nodes=5 edges=4 pairs=1 "
+        "duplicate_asins=1 missing_refs=1 self_refs=1\n")
+
+
+def test_ingest_amazon_keeps_categories_that_differ_by_a_trailing_nul(
+        tmp_path, capsys):
+    # "Toys" products link to every "Toys\0" and "Books" product
+    cats = {"A": "Toys", "B": "Toys\u0000", "C": "Books"}
+    src = tmp_path / "meta.jsonl"
+    src.write_text("".join(
+        json.dumps({"asin": f"{k}{i}", "main_cat": cat,
+                    "also_buy": [f"{t}{j}" for t in "BC" for j in range(2)]
+                    if k == "A" else []}) + "\n"
+        for k, cat in cats.items() for i in range(2)), encoding="utf-8")
+    out_dir = tmp_path / "pairs"
+    assert main(["ingest-amazon", "--input", str(src), "--out-dir", str(out_dir),
+                 "--min-nodes", "1"]) == 0
+    assert "pairs=2" in capsys.readouterr().out.split()
+    _, index = _rows(str(out_dir / "index.csv"))
+    assert [row["pair"] for row in index] == ["Books__Toys", "Toys__Toys\x00"]
+    for row in index:
+        g, c = load_edgelist(str(out_dir / row["file"]))
+        assert (g.n, c.n_red, c.n_blue, g.num_edges) == (4, 2, 2, 4)
+
+
 def test_ingest_amazon_gives_every_pair_its_own_file(tmp_path):
     # "1__A 1" and "1__a" both slugify to 1_a_1, which "1__A 1" takes first
     cats = ["A", "a", "1", "A 1"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import os
 import tempfile
@@ -18,7 +19,8 @@ from fairdsg.ingest import (LINE_BREAK, GmlNode, IngestError, ParseError,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
                             read_edgelist, save_edgelist, write_edgelist)
 
-from oracles import read_edgelist_reference, same_structure
+from oracles import (category_pairs_reference, product_graph_reference,
+                     read_edgelist_reference, same_structure)
 
 MINIMAL_GML = """
 graph [
@@ -313,6 +315,30 @@ def test_category_pair_subgraph_every_node_has_cross_neighbor():
         for u in range(sub.graph.n):
             nb, _ = sub.graph.neighbors(u)
             assert any(sub.coloring.codes[v] != sub.coloring.codes[u] for v in nb)
+
+
+_ASINS = ["a", "b", "c", "d", "e", "f"]
+# non-ASCII names, and names that differ only by trailing NULs
+_CATEGORIES = ["Toys", "Toys\x00", "Toys\x00\x00", "Bücher", "書籍", "A"]
+_RECORDS = st.lists(st.builds(
+    ProductRecord, st.sampled_from(_ASINS), st.sampled_from(_CATEGORIES),
+    st.lists(st.sampled_from(_ASINS + ["missing"]), max_size=6).map(tuple)),
+    max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=_RECORDS, min_nodes=st.integers(1, 3))
+def test_product_graph_and_pairs_match_the_set_reference(records, min_nodes):
+    edges, categories, stats = product_graph_reference(records)
+    g, cats, got_stats = build_product_graph(records)
+    assert [(u, v) for u, v, _ in g.edges()] == edges
+    assert g.edge_w.tolist() == [1.0] * len(edges)
+    assert cats == categories
+    assert dataclasses.astuple(got_stats) == stats
+    pairs = category_pair_subgraphs(g, cats, min_nodes=min_nodes)
+    assert [(p.name, p.red_category, p.blue_category, p.coloring.labels(),
+             [(u, v) for u, v, _ in p.graph.edges()]) for p in pairs] == \
+        category_pairs_reference(edges, categories, min_nodes)
 
 
 def test_edgelist_round_trip_bit_identical():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fairdsg.flow import exact_densest_subgraph
-from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
+from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph, density
 from fairdsg.oracle import ORACLE_MAX_N, brute_force_densest
 
 from conftest import random_coloring, random_graph
@@ -30,6 +33,20 @@ def test_fair_infeasible_when_one_color_missing(triangle):
     res = brute_force_densest(triangle, Coloring.from_labels("RRR"))
     assert not res.feasible
     assert res.node_set.size == 0 and res.density == 0.0
+
+
+def test_exactly_tied_weighted_sets_keep_the_tie_rule():
+    # two disjoint triangles of weights 0.3, 0.7 and 0.9: float sums along
+    # the Gray-code walk give the two triangles different densities
+    tri = [(0, 1, 0.3), (1, 2, 0.7), (0, 2, 0.9)]
+    g = LabeledGraph.from_edges(7, tri + [(u + 4, v + 4, w) for u, v, w in tri])
+    res = brute_force_densest(g)
+    assert res.node_set.as_tuple() == (0, 1, 2)
+    assert res.density == density(g, res.node_set)
+    exact = {s: 2 * sum(Fraction(w) for u, v, w in g.edges() if {u, v} <= set(s)) / len(s)
+             for k in range(1, 8) for s in itertools.combinations(range(7), k)}
+    best = max(exact.values())
+    assert min((len(s), s) for s, d in exact.items() if d == best)[1] == (0, 1, 2)
 
 
 def test_unconstrained_matches_flow_solver():
