@@ -10,7 +10,6 @@ byte-identical files. Wall-clock timings are excluded from output unless
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import math
 import os
@@ -49,7 +48,10 @@ def _add_seed_flag(p: argparse.ArgumentParser) -> None:
                    help="non-negative random seed (default: 0)")
 
 
-def build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of every command, built once per process: parsing leaves
+    it unchanged, since each call returns a fresh namespace."""
     parser = _Parser(prog="fairdsg",
                      description="Fair densest subgraph toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -144,8 +146,8 @@ def _cmd_ingest_amazon(args) -> int:
     if args.min_nodes < 1:
         raise ValueError("--min-nodes must be at least 1")
     with open(args.input, encoding="utf-8") as handle:
-        records, skipped = parse_amazon_jsonl(handle)
-    graph, categories, stats = build_product_graph(records)
+        columns, skipped = parse_amazon_jsonl(handle)
+    graph, categories, stats = build_product_graph(columns)
     pairs = category_pair_subgraphs(graph, categories, min_nodes=args.min_nodes)
     os.makedirs(args.out_dir, exist_ok=True)
     manifest = _manifest(args, "ingest-amazon", [args.input])
@@ -277,7 +279,8 @@ def _cmd_planted(args) -> int:
     seeds = range(args.seed, args.seed + args.seeds)
     workers = min(args.jobs, args.seeds)  # a pool starts every worker at once
     if workers > 1:
-        # imported here so that importing the CLI stays as cheap as it was
+        # imported here, so that importing the CLI does not load them
+        import concurrent.futures
         import multiprocessing
         # a forked worker inherits a BLAS pool of one thread per CPU, so the
         # workers are spawned, each told to start one BLAS thread
@@ -288,6 +291,8 @@ def _cmd_planted(args) -> int:
                     max_workers=workers,
                     mp_context=multiprocessing.get_context("spawn")) as pool:
                 rows = list(pool.map(row, seeds))
+        except concurrent.futures.BrokenExecutor as exc:  # a worker died
+            raise ValueError(str(exc)) from None
         finally:
             os.environ.clear()
             os.environ.update(saved)
@@ -365,9 +370,8 @@ def _cmd_summary(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # usage errors exit 1, --help/--version exit 0
         code = exc.code
         return int(code) if isinstance(code, int) else 0
@@ -376,8 +380,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise ValueError("--seed must be non-negative")
         return args.func(args)
-    except (IngestError, ConvergenceError, OSError, ValueError, MemoryError,
-            concurrent.futures.BrokenExecutor) as exc:
+    except (IngestError, ConvergenceError, OSError, ValueError, MemoryError) as exc:
         # a MemoryError from numpy names the allocation, a bare one is empty
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

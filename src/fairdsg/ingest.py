@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -198,16 +199,33 @@ def polbooks_graph(doc: GmlDocument) -> tuple[LabeledGraph, Coloring]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProductRecord:
-    asin: str
-    main_cat: str
-    also_buy: tuple[str, ...]
+class ProductColumns:
+    """Product records as interned integer columns, one row per record.
+
+    Every asin, a record's own or a reference, has one code, its index in
+    ``asin_names``, and every ``main_cat`` one in ``category_names``. Record
+    ``i`` has asin code ``asin[i]``, category code ``main_cat[i]`` and the
+    reference codes ``refs[offsets[i]:offsets[i + 1]]``.
+    """
+    asin: array
+    main_cat: array
+    offsets: array
+    refs: array
+    asin_names: list[str]
+    category_names: list[str]
+
+    def __len__(self) -> int:
+        return len(self.asin)
 
 
-def parse_amazon_jsonl(lines: Iterable[str]) -> tuple[list[ProductRecord], int]:
+def parse_amazon_jsonl(lines: Iterable[str]) -> tuple[ProductColumns, int]:
     """Extract (asin, main_cat, also_buy) per line; malformed lines are
-    counted and skipped, never fatal. Returns (records, skipped)."""
-    records: list[ProductRecord] = []
+    counted and skipped, never fatal. Strings are interned to integer codes
+    as they are read, so memory holds one string per distinct asin and
+    category. Returns (columns, skipped)."""
+    asin_code: dict[str, int] = {}
+    cat_code: dict[str, int] = {}
+    asins, cats, refs, offsets = array("q"), array("q"), array("q"), array("q", [0])
     skipped = 0
     for line in lines:
         if not line.strip():
@@ -228,9 +246,13 @@ def parse_amazon_jsonl(lines: Iterable[str]) -> tuple[list[ProductRecord], int]:
                 or not isinstance(also_buy, list)):
             skipped += 1
             continue
-        records.append(ProductRecord(
-            asin, main_cat, tuple(x for x in also_buy if isinstance(x, str))))
-    return records, skipped
+        asins.append(asin_code.setdefault(asin, len(asin_code)))
+        cats.append(cat_code.setdefault(main_cat, len(cat_code)))
+        refs.extend([asin_code.setdefault(x, len(asin_code))
+                     for x in also_buy if isinstance(x, str)])
+        offsets.append(len(refs))
+    return ProductColumns(asins, cats, offsets, refs,
+                          list(asin_code), list(cat_code)), skipped
 
 
 @dataclass(frozen=True)
@@ -241,7 +263,7 @@ class ProductGraphStats:
     n_self_refs: int
 
 
-def build_product_graph(records: Iterable[ProductRecord],
+def build_product_graph(columns: ProductColumns,
                         ) -> tuple[LabeledGraph, list[str], ProductGraphStats]:
     """Undirected co-purchase graph over asins.
 
@@ -250,21 +272,28 @@ def build_product_graph(records: Iterable[ProductRecord],
     to absent asins are dropped (and counted). Node ids are assigned in
     sorted asin order so ingestion is input-order independent.
     """
-    by_asin: dict[str, ProductRecord] = {}
-    n_records = 0
-    for n_records, rec in enumerate(records, start=1):
-        by_asin.setdefault(rec.asin, rec)
-    kept = [by_asin[a] for a in sorted(by_asin)]
-    n = len(kept)
-    index = {r.asin: i for i, r in enumerate(kept)}
-    src = np.repeat(np.arange(n, dtype=np.int64), [len(r.also_buy) for r in kept])
-    dst = np.array([index.get(t, -1) for r in kept for t in r.also_buy], dtype=np.int64)
+    code = np.array(columns.asin, dtype=np.int64)
+    n_records = code.size
+    _, first = np.unique(code, return_index=True)  # first record per asin
+    names = [columns.asin_names[k] for k in code[first].tolist()]
+    kept = first[sorted(range(first.size), key=names.__getitem__)]
+    n = kept.size
+    # node of each asin code and of each kept record, -1 where there is none
+    node_of_code = np.full(len(columns.asin_names), -1, dtype=np.int64)
+    node_of_code[code[kept]] = np.arange(n)
+    node_of_record = np.full(n_records, -1, dtype=np.int64)
+    node_of_record[kept] = np.arange(n)
+    owner = np.repeat(node_of_record, np.diff(np.array(columns.offsets, dtype=np.int64)))
+    mine = owner >= 0
+    src = owner[mine]
+    dst = node_of_code[np.array(columns.refs, dtype=np.int64)[mine]]
     linked = (src != dst) & (dst >= 0)
     lo, hi = np.minimum(src, dst)[linked], np.maximum(src, dst)[linked]
     graph = LabeledGraph.from_arrays(n, *np.divmod(np.unique(lo * n + hi), n))
     stats = ProductGraphStats(n_records, n_records - n, int(np.count_nonzero(dst < 0)),
                               int(np.count_nonzero(src == dst)))
-    return graph, [r.main_cat for r in kept], stats
+    cat_codes = np.array(columns.main_cat, dtype=np.int64)[kept].tolist()
+    return graph, [columns.category_names[k] for k in cat_codes], stats
 
 
 @dataclass(frozen=True)

@@ -500,29 +500,30 @@ def stack_peel_core(g):
 
 
 def product_graph_reference(records):
-    """``build_product_graph`` by dicts and sets: (sorted edges (u, v) with
-    u < v, categories, (records, duplicate asins, missing refs, self refs))."""
+    """``build_product_graph`` by dicts and sets over (asin, main_cat,
+    also_buy) triples: (sorted edges (u, v) with u < v, categories,
+    (records, duplicate asins, missing refs, self refs))."""
     first = {}
     n_records = n_duplicates = 0
-    for rec in records:
+    for asin, main_cat, also_buy in records:
         n_records += 1
-        if rec.asin in first:
+        if asin in first:
             n_duplicates += 1
         else:
-            first[rec.asin] = rec
+            first[asin] = (main_cat, also_buy)
     asins = sorted(first)
     index = {a: i for i, a in enumerate(asins)}
     edges = set()
     missing = self_refs = 0
     for i, a in enumerate(asins):
-        for target in first[a].also_buy:
+        for target in first[a][1]:
             if target not in index:
                 missing += 1
             elif index[target] == i:
                 self_refs += 1
             else:
                 edges.add((min(i, index[target]), max(i, index[target])))
-    return (sorted(edges), [first[a].main_cat for a in asins],
+    return (sorted(edges), [first[a][0] for a in asins],
             (n_records, n_duplicates, missing, self_refs))
 
 

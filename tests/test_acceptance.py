@@ -342,10 +342,10 @@ def test_criterion_10_amazon_corpus_report():
               "(set FAIRDSG_AMAZON or place a .jsonl under data/)")
         pytest.skip("Amazon corpus snapshot not available in this environment")
     with open(path, encoding="utf-8") as handle:
-        records, skipped = parse_amazon_jsonl(handle)
-    graph, categories, _ = build_product_graph(records)
+        columns, skipped = parse_amazon_jsonl(handle)
+    graph, categories, _ = build_product_graph(columns)
     pairs = category_pair_subgraphs(graph, categories, min_nodes=100)
-    print(f"[INFO] criterion 10: records={len(records)} skipped={skipped} "
+    print(f"[INFO] criterion 10: records={len(columns)} skipped={skipped} "
           f"pairs_at_min100={len(pairs)} (published run reports 292 pairs, "
           f"sizes 100..22046)")
     entries = []

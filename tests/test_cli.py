@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -128,6 +131,47 @@ def test_seed_comes_from_argv_only(small_graph_file, tmp_path, monkeypatch):
         assert main(argv + ["--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == plain.replace(
             str(tmp_path / "plain.csv"), str(out))
+
+
+def _fresh_process(*code: str, argv: list[str] = ()) -> subprocess.CompletedProcess:
+    """Run the Python lines ``code`` in a new interpreter that imports this
+    checkout's fairdsg, with ``argv`` as its arguments."""
+    import fairdsg
+    env = dict(os.environ, PYTHONPATH=str(Path(fairdsg.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", "\n".join(code), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    done = _fresh_process(
+        "import sys", "import fairdsg.cli",
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+        " if m in sys.modules))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_the_shared_parser_carries_nothing_between_calls(small_graph_file,
+                                                         tmp_path):
+    argv = ["run", "--input", small_graph_file, "--algorithm", "fss"]
+    first, second = str(tmp_path / "first.csv"), str(tmp_path / "second.csv")
+    assert main(argv + ["--delta", "0.5", "--seed", "3", "--out", first]) == 0
+    assert main(argv + ["--out", second]) == 0
+    assert (_rows(first)[0].delta, _rows(first)[0].seed) == (0.5, 3)
+    assert (_rows(second)[0].delta, _rows(second)[0].seed) == (0.0, 0)
+
+    out = tmp_path / "after.csv"
+    valid = argv + ["--seed", "1", "--out", str(out)]
+    fresh = _fresh_process("import sys", "from fairdsg.cli import main",
+                           "sys.exit(main(sys.argv[1:]))", argv=valid)
+    assert fresh.returncode == 0, fresh.stderr
+    expected = out.read_bytes()
+    for before, code in ((["run", "--input", small_graph_file], 1),
+                         (["--version"], 0)):
+        out.unlink()
+        assert main(before) == code
+        assert main(valid) == 0
+        assert out.read_bytes() == expected, before
 
 
 def test_usage_and_data_errors(small_graph_file, tmp_path, capsys):

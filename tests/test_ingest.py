@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import json
 import os
 import tempfile
 import warnings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from fairdsg.cli import main
 from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
 from fairdsg.ingest import (LINE_BREAK, GmlNode, IngestError, ParseError,
-                            ProductRecord, build_product_graph, category_pair_subgraphs,
+                            build_product_graph, category_pair_subgraphs,
                             parse_amazon_jsonl, parse_gml, polbooks_graph,
                             read_edgelist, save_edgelist, write_edgelist)
 
@@ -230,6 +231,26 @@ def test_polbooks_graph_unknown_value_named_in_error():
         polbooks_graph(parse_gml("graph [ node [ id 0 ] ]"))
 
 
+def _jsonl(records) -> list[str]:
+    """JSON lines of (asin, main_cat, also_buy) triples."""
+    return [json.dumps({"asin": asin, "main_cat": cat, "also_buy": list(refs)})
+            for asin, cat, refs in records]
+
+
+def _product_graph(records):
+    columns, skipped = parse_amazon_jsonl(_jsonl(records))
+    assert skipped == 0
+    return build_product_graph(columns)
+
+
+def _decoded(columns) -> list[tuple[str, str, tuple[str, ...]]]:
+    """The (asin, main_cat, also_buy) triple of each parsed record."""
+    asins, offsets = columns.asin_names, columns.offsets
+    return [(asins[a], columns.category_names[c],
+             tuple(asins[r] for r in columns.refs[offsets[i]:offsets[i + 1]]))
+            for i, (a, c) in enumerate(zip(columns.asin, columns.main_cat))]
+
+
 def test_parse_amazon_jsonl_examples():
     lines = [
         '{"asin": "A", "main_cat": "X", "also_buy": ["B"]}',
@@ -238,11 +259,13 @@ def test_parse_amazon_jsonl_examples():
         '{"asin": "C", "main_cat": "Y", "also_buy": []}',
         '',
     ]
-    records, skipped = parse_amazon_jsonl(lines)
+    columns, skipped = parse_amazon_jsonl(lines)
     assert skipped == 1
-    assert [r.asin for r in records] == ["A", "B", "C"]
-    assert records[0].also_buy == ("B",)
-    assert records[1].also_buy == ()
+    assert len(columns) == 3
+    assert _decoded(columns) == [("A", "X", ("B",)), ("B", "Y", ()), ("C", "Y", ())]
+    # one code per distinct string: "B" as a reference and as a record
+    assert columns.asin_names == ["A", "B", "C"]
+    assert columns.category_names == ["X", "Y"]
 
 
 def test_parse_amazon_jsonl_requires_core_fields():
@@ -253,17 +276,16 @@ def test_parse_amazon_jsonl_requires_core_fields():
         '{"asin": "A", "main_cat": "X", "also_buy": "B"}',
         '[1, 2]',
     ]
-    records, skipped = parse_amazon_jsonl(lines)
-    assert records == [] and skipped == 5
+    columns, skipped = parse_amazon_jsonl(lines)
+    assert len(columns) == 0 and skipped == 5
 
 
 def test_build_product_graph_symmetrizes_and_drops():
-    records = [
-        ProductRecord("A", "X", ("B", "B", "A", "ZZZ")),
-        ProductRecord("B", "Y", ()),
-        ProductRecord("C", "Y", ("A",)),
-    ]
-    g, cats, stats = build_product_graph(records)
+    g, cats, stats = _product_graph([
+        ("A", "X", ("B", "B", "A", "ZZZ")),
+        ("B", "Y", ()),
+        ("C", "Y", ("A",)),
+    ])
     assert g.n == 3
     assert cats == ["X", "Y", "Y"]
     assert {(u, v) for u, v, _ in g.edges()} == {(0, 1), (0, 2)}
@@ -274,23 +296,38 @@ def test_build_product_graph_symmetrizes_and_drops():
 
 def test_build_product_graph_order_independent():
     records = [
-        ProductRecord("A", "X", ("B",)),
-        ProductRecord("B", "Y", ("C",)),
-        ProductRecord("C", "X", ()),
+        ("A", "X", ("B",)),
+        ("B", "Y", ("C",)),
+        ("C", "X", ()),
     ]
-    g1, cats1, _ = build_product_graph(records)
-    g2, cats2, _ = build_product_graph(records[::-1])
+    g1, cats1, _ = _product_graph(records)
+    g2, cats2, _ = _product_graph(records[::-1])
     assert same_structure(g1, g2)
     assert cats1 == cats2
 
 
+def test_build_product_graph_links_a_reference_read_before_its_target():
+    g, cats, stats = _product_graph([("C", "Y", ("A",)), ("B", "X", ()),
+                                     ("A", "X", ("B",))])
+    assert cats == ["X", "X", "Y"]
+    assert [(u, v) for u, v, _ in g.edges()] == [(0, 1), (0, 2)]
+    assert (stats.n_missing_refs, stats.n_self_refs) == (0, 0)
+
+
+def test_build_product_graph_ignores_a_duplicate_asins_references():
+    g, cats, stats = _product_graph([("A", "X", ("B",)), ("B", "Y", ()),
+                                     ("A", "Z", ("C", "missing", "A"))])
+    assert cats == ["X", "Y"]
+    assert [(u, v) for u, v, _ in g.edges()] == [(0, 1)]
+    assert dataclasses.astuple(stats) == (3, 1, 0, 0)
+
+
 def test_category_pair_subgraphs_single_cross_edge():
-    records = [
-        ProductRecord("A", "X", ("B",)),
-        ProductRecord("B", "Y", ()),
-        ProductRecord("Z", "X", ()),
-    ]
-    g, cats, _ = build_product_graph(records)
+    g, cats, _ = _product_graph([
+        ("A", "X", ("B",)),
+        ("B", "Y", ()),
+        ("Z", "X", ()),
+    ])
     pairs = category_pair_subgraphs(g, cats, min_nodes=2)
     assert len(pairs) == 1
     sub = pairs[0]
@@ -305,12 +342,12 @@ def test_category_pair_subgraphs_single_cross_edge():
 def test_category_pair_subgraph_every_node_has_cross_neighbor():
     rng = np.random.default_rng(19)
     asins = [f"P{i:03d}" for i in range(40)]
-    cats = [rng.choice(["a", "b", "c"]) for _ in range(40)]
+    cats = [str(rng.choice(["a", "b", "c"])) for _ in range(40)]
     records = []
     for i, asin in enumerate(asins):
         targets = rng.choice(asins, size=rng.integers(0, 5), replace=False)
-        records.append(ProductRecord(asin, cats[i], tuple(t for t in targets if t != asin)))
-    g, cats_out, _ = build_product_graph(records)
+        records.append((asin, cats[i], tuple(str(t) for t in targets if t != asin)))
+    g, cats_out, _ = _product_graph(records)
     for sub in category_pair_subgraphs(g, cats_out, min_nodes=1):
         for u in range(sub.graph.n):
             nb, _ = sub.graph.neighbors(u)
@@ -320,8 +357,8 @@ def test_category_pair_subgraph_every_node_has_cross_neighbor():
 _ASINS = ["a", "b", "c", "d", "e", "f"]
 # non-ASCII names, and names that differ only by trailing NULs
 _CATEGORIES = ["Toys", "Toys\x00", "Toys\x00\x00", "Bücher", "書籍", "A"]
-_RECORDS = st.lists(st.builds(
-    ProductRecord, st.sampled_from(_ASINS), st.sampled_from(_CATEGORIES),
+_RECORDS = st.lists(st.tuples(
+    st.sampled_from(_ASINS), st.sampled_from(_CATEGORIES),
     st.lists(st.sampled_from(_ASINS + ["missing"]), max_size=6).map(tuple)),
     max_size=10)
 
@@ -330,7 +367,7 @@ _RECORDS = st.lists(st.builds(
 @given(records=_RECORDS, min_nodes=st.integers(1, 3))
 def test_product_graph_and_pairs_match_the_set_reference(records, min_nodes):
     edges, categories, stats = product_graph_reference(records)
-    g, cats, got_stats = build_product_graph(records)
+    g, cats, got_stats = _product_graph(records)
     assert [(u, v) for u, v, _ in g.edges()] == edges
     assert g.edge_w.tolist() == [1.0] * len(edges)
     assert cats == categories
