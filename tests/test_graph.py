@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairdsg.graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
-                           color_counts, density, imbalance, induced_subgraph,
-                           is_fair)
+from fairdsg.graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _unique,
+                           balance, color_counts, density, imbalance,
+                           induced_subgraph, is_fair)
 
 from conftest import random_graph
 from oracles import argsort_arcs, canonical_edges, same_structure
@@ -354,6 +354,55 @@ def test_nodeset_normalizes_and_indicates():
     assert 3 in s and 2 not in s
     with pytest.raises(ValueError):
         NodeSet().indicator(5)
+
+
+def test_nodeset_rejects_float_ids():
+    with pytest.raises(ValueError, match="node ids must be integers, got dtype float64"):
+        NodeSet(np.array([1.5, 2.0]))
+    with pytest.raises(ValueError, match="node ids must be integers"):
+        NodeSet([1.0, 2.0])
+
+
+def test_nodeset_rejects_a_boolean_mask():
+    with pytest.raises(ValueError, match="node ids must be integers, got dtype bool"):
+        NodeSet(np.array([True, False, True]))
+
+
+def test_nodeset_rejects_a_two_dimensional_array():
+    with pytest.raises(ValueError, match="one-dimensional sequence, got 2 dimensions"):
+        NodeSet(np.array([[0, 1], [2, 3]]))
+
+
+def test_nodeset_accepts_empty_and_integer_input():
+    assert NodeSet([]).size == 0 and NodeSet([]).members.dtype == np.int64
+    assert NodeSet(np.array([], dtype=np.float64)) == NodeSet()
+    assert NodeSet(np.array([4, 1, 4], dtype=np.uint8)).as_tuple() == (1, 4)
+    assert NodeSet(np.array([2, 0], dtype=np.int32)).as_tuple() == (0, 2)
+    assert NodeSet(x for x in (5, 3)).as_tuple() == (3, 5)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(_INT64.min, _INT64.max), max_size=40),
+    st.lists(st.integers(-3, 3), max_size=40),
+    st.tuples(st.integers(_INT64.min, _INT64.max), st.integers(0, 20)).map(
+        lambda t: [t[0]] * t[1]),
+    st.lists(st.sampled_from([_INT64.min, _INT64.min + 1, -1, 0, 1,
+                              _INT64.max - 1, _INT64.max]), max_size=20)))
+@example([])
+@example([7])
+@example([-5] * 6)
+@example([_INT64.max, _INT64.min, _INT64.max, -1, _INT64.min])
+def test_sorted_unique_matches_numpy_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    before = arr.copy()
+    got = _unique(arr)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(arr))
+    assert np.array_equal(arr, before)  # the input is left as it was
 
 
 def test_graph_is_readonly(triangle):

@@ -612,6 +612,37 @@ def test_write_edgelist_rejects_a_comment_with_a_line_break(brk):
     assert buf.getvalue() == ""
 
 
+class _RecordingBuffer(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return super().write(text)
+
+
+# floats whose repr is long, subnormal, huge or an integer beyond 2**53
+_ODD_WEIGHTS = [0.1, 1 / 3, 5e-324, 1e300, 2.0 ** 53 + 2]
+
+
+@pytest.mark.parametrize("num_edges", [0, 1, 4095, 4096, 4097, 8193])
+def test_write_edgelist_blocks_match_the_per_edge_lines(num_edges):
+    n = 130  # 8,385 pairs
+    u, v = (a[:num_edges].tolist() for a in np.triu_indices(n, 1))
+    w = [_ODD_WEIGHTS[k % len(_ODD_WEIGHTS)] for k in range(num_edges)]
+    g = LabeledGraph.from_arrays(n, u, v, w)
+    c = Coloring.from_labels("RB" * (n // 2))
+    buf = _RecordingBuffer()
+    write_edgelist(g, c, buf, ["a comment"])
+    expected = "".join([f"# a comment\n{n} {n // 2} {n // 2}\n{'RB' * (n // 2)}\n",
+                        *(f"{a} {b} {x!r}\n" for a, b, x in zip(u, v, w))])
+    assert buf.getvalue() == expected
+    edge_writes = [p.count("\n") for p in buf.pieces[3:]]
+    assert sum(edge_writes) == num_edges
+    assert max(edge_writes, default=0) <= 4096
+
+
 def test_save_edgelist_validates_before_it_opens_the_file(tmp_path):
     g = LabeledGraph.from_edges(2, [(0, 1)])
     good = Coloring.from_labels("RB")

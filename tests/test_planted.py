@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
 from fairdsg.graph import NodeSet, density, is_fair
-from fairdsg.planted import (PlantedParams, _background_pairs, generate,
-                             recovery_error, run_recovery)
+from fairdsg.planted import (PlantedParams, _background_pairs,
+                             _planted_internal_edges, generate, recovery_error,
+                             run_recovery)
 from fairdsg.spectral import ProjectedOperator, dominant_eigenpair
 
 from oracles import same_structure
@@ -26,6 +28,38 @@ def test_recovery_error_examples():
     assert recovery_error(NodeSet([1, 2, 3]), NodeSet([1, 2, 3])) == 0
     assert recovery_error(NodeSet(range(10)), NodeSet()) == 10
     assert recovery_error(NodeSet([1, 2, 3, 4]), NodeSet([2, 3, 4, 5, 6])) == 1
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+# the instances these seeds give, byte for byte: a faster sampler must keep
+# them, so results and benchmark inputs stay comparable across versions
+@pytest.mark.parametrize("seed, m, d, shape, digest", [
+    (1, 400, 64, (12800, 2),
+     "c61c2634e819e466771f675ff05f718312e9e7e57f4b4ffa8e9de451fec1cbd9"),
+    (2, 400, 64, (12800, 2),
+     "f99f7d87d89aa186b34735c72b2736ecd786565b051bd9c61a3740341d925cef"),
+    (3, 400, 64, (12800, 2),
+     "a0cc15dcecb34470fba462b8b52b96d761629bd1ed9215ae01ce8586d85ae5cf"),
+    (1, 40, 30, (600, 2),  # d > (m - 1) / 2: the complement of a sparse sample
+     "179cf8bcd462df4cb5b250cae5543f13c2c50ffa75f50859200004c565df0de3"),
+])
+def test_planted_internal_edges_are_pinned(seed, m, d, shape, digest):
+    edges = _planted_internal_edges(np.random.default_rng(seed), m, d, 0.05)
+    assert edges.shape == shape
+    assert _sha256(edges) == digest
+
+
+def test_generated_edges_are_pinned():
+    params = PlantedParams(n=10000, m=400, d=64, eps=0.05, p_bg=0.0005, seed=1)
+    g = generate(params, eig_tol=1e-3).graph
+    assert g.num_edges == 37687
+    assert _sha256(g.edge_u) == \
+        "72c900985130bf22de1ae63ae174d287b3ca684024094ac3a778d7aa3879cd2b"
+    assert _sha256(g.edge_v) == \
+        "7a61ae6c5296578556e6be3af06667a740e743a7dcbfd59bce37f7211554e460"
 
 
 def test_complete_planted_clique_without_background():
