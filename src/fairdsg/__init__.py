@@ -18,12 +18,10 @@ __version__ = "0.1.0"
 from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
                     color_counts, density, imbalance, induced_subgraph, is_fair)
 from .spectral import (ConvergenceError, EigenPair, ProjectedOperator,
-                       SpectralProfile, dominant_eigenpair, fairness_vector,
-                       second_eigenvalue, spectral_profile)
+                       SpectralProfile, dominant_eigenpair, spectral_profile)
 from .sweep import (ALL_ORDERINGS, Ordering, SolutionRecord, SolveStatus,
                     candidate_trace, general_sweep, paired_sweep, run_algorithm)
-from .flow import (DensestResult, FlowNetwork, exact_densest_subgraph,
-                   max_flow, two_dfsg)
+from .flow import DensestResult, exact_densest_subgraph, two_dfsg
 from .oracle import ORACLE_MAX_N, OracleResult, brute_force_densest
 from .planted import (PlantedInstance, PlantedParams, RecoveryReport,
                       recovery_error, run_recovery)
@@ -35,12 +33,10 @@ __all__ = [
     "balance", "color_counts", "density", "imbalance", "induced_subgraph",
     "is_fair",
     "ConvergenceError", "EigenPair", "ProjectedOperator", "SpectralProfile",
-    "dominant_eigenpair", "fairness_vector", "second_eigenvalue",
-    "spectral_profile",
+    "dominant_eigenpair", "spectral_profile",
     "ALL_ORDERINGS", "Ordering", "SolutionRecord", "SolveStatus",
     "candidate_trace", "general_sweep", "paired_sweep", "run_algorithm",
-    "DensestResult", "FlowNetwork", "exact_densest_subgraph", "max_flow",
-    "two_dfsg",
+    "DensestResult", "exact_densest_subgraph", "two_dfsg",
     "ORACLE_MAX_N", "OracleResult", "brute_force_densest",
     "PlantedInstance", "PlantedParams", "RecoveryReport", "recovery_error",
     "run_recovery",

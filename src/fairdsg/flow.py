@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, color_counts,
-                    density, induced_subgraph, is_fair)
+from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _check_lengths,
+                    _int_ids, color_counts, density, induced_subgraph, is_fair)
 from .sweep import SolutionRecord, SolveStatus, _balance, _prefix_sums, make_record
 
 
@@ -48,9 +48,11 @@ def _interleave(a, b) -> np.ndarray:
 class FlowNetwork:
     """s-t network held in arrays. Input arc k, ``tail[k] -> head[k]`` with
     capacity ``cap[k]``, is arc 2k; its residual reverse, capacity 0, is arc
-    2k + 1. ``_tail``, ``_head`` (int64) and ``_cap`` (float64) are indexed
-    by arc id. The CSR index groups the arc ids by tail: node u owns
-    ``_by_tail[_offsets[u]:_offsets[u + 1]]``, in arc-id order."""
+    2k + 1. ``tail`` and ``head`` are read by ``graph._int_ids``, and the
+    three columns must have one length. ``_tail``, ``_head`` (int64) and
+    ``_cap`` (float64) are indexed by arc id. The CSR index groups the arc
+    ids by tail: node u owns ``_by_tail[_offsets[u]:_offsets[u + 1]]``, in
+    arc-id order."""
 
     def __init__(self, n_nodes: int, source: int, sink: int,
                  tail, head, cap):
@@ -60,8 +62,9 @@ class FlowNetwork:
             raise ValueError("source/sink ids out of range")
         if source == sink:
             raise ValueError("source and sink must differ")
-        tail, head = np.asarray(tail, dtype=np.int64), np.asarray(head, dtype=np.int64)
+        tail, head = _int_ids(tail, "arc endpoints"), _int_ids(head, "arc endpoints")
         cap = np.asarray(cap, dtype=np.float64)
+        _check_lengths("arc", tail=tail, head=head, cap=cap)
         unknown = (tail < 0) | (tail >= n_nodes) | (head < 0) | (head >= n_nodes)
         if unknown.any():
             k = int(np.argmax(unknown))
@@ -283,18 +286,17 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
     if g.n < 1:
         raise ValueError("graph has no nodes")
     kept, core = _densest_core(g)
-    # source -> u and u -> sink for every node of positive degree, then both
-    # orientations of every edge; u -> sink is input arc 2j + 1, at _cap[4j + 2]
+    # source -> u and u -> sink for every core node, then both orientations
+    # of every edge; u -> sink is input arc 2u + 1, at _cap[4u + 2]
     source, sink = core.n, core.n + 1
-    nodes = np.flatnonzero(core.degrees > 0.0)
+    nodes = np.arange(core.n)
     tail = np.concatenate([_interleave(source, nodes),
                            _interleave(core.edge_u, core.edge_v)])
     head = np.concatenate([_interleave(nodes, sink),
                            _interleave(core.edge_v, core.edge_u)])
-    cap = np.concatenate([_interleave(core.degrees[nodes], 0.0),
-                          np.repeat(core.edge_w, 2)])
+    cap = np.concatenate([_interleave(core.degrees, 0.0), np.repeat(core.edge_w, 2)])
     net = FlowNetwork(core.n + 2, source, sink, tail, head, cap)
-    sink_arcs = slice(2, 4 * nodes.size, 4)
+    sink_arcs = slice(2, 4 * core.n, 4)
     best = NodeSet(range(core.n))
     rho = density(core, best)
     iterations = 0

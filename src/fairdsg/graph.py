@@ -20,18 +20,43 @@ BLUE = 1
 _LABELS = "RB"  # the label of each color code
 
 
+def _int_ids(values: Iterable[int], what: str) -> np.ndarray:
+    """``values``, a 1-D array or iterable of an integer dtype, as int64.
+
+    The one reading of ids and color codes for every constructor. An empty
+    list, which numpy reads as float64, is the empty array; float, boolean,
+    object, string and multi-dimensional input raises a ValueError that names
+    ``what`` and the dtype or the dimensions. Ranges are the caller's check.
+    """
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.ndim != 1:
+        raise ValueError(f"{what} must form a one-dimensional sequence, "
+                         f"got {arr.ndim} dimensions")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _check_lengths(what: str, **columns: np.ndarray) -> None:
+    """Raise one ValueError that names every column's length (its shape, if
+    it is not 1-D) unless all the columns have one shape."""
+    if len({c.shape for c in columns.values()}) > 1:
+        given = ", ".join(f"len({name}) = {c.size}" if c.ndim == 1
+                          else f"{name}.shape = {c.shape}"
+                          for name, c in columns.items())
+        raise ValueError(f"{what} columns do not line up: {given}")
+
+
 class Coloring:
     """Per-node Red/Blue assignment with cached class counts."""
 
     __slots__ = ("codes", "n_red", "n_blue")
 
     def __init__(self, codes: Iterable[int]):
-        arr = np.array(list(codes) if not isinstance(codes, np.ndarray) else codes,
-                       dtype=np.int8)
-        if arr.ndim != 1:
-            raise ValueError("color codes must form a one-dimensional sequence")
+        arr = _int_ids(codes, "color codes")
         if arr.size and not np.isin(arr, (RED, BLUE)).all():
             raise ValueError("color codes must be RED (0) or BLUE (1)")
+        arr = arr.astype(np.int8)
         arr.flags.writeable = False
         self.codes = arr
         self.n_blue = int(arr.sum())
@@ -85,9 +110,7 @@ def _unique(values: np.ndarray) -> np.ndarray:
 class NodeSet:
     """Strictly sorted, duplicate-free set of node ids.
 
-    Members are non-negative integers given as a 1-D array or an iterable;
-    float, boolean and multi-dimensional input is refused (an empty list,
-    which numpy reads as float64, is the empty set). The normalized
+    Members are non-negative integers, read by ``_int_ids``. The normalized
     indicator (1/sqrt(m) on members, 0 elsewhere) is materialized on demand
     via :meth:`indicator`.
     """
@@ -95,13 +118,7 @@ class NodeSet:
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[int] = ()):
-        arr = np.asarray(members if isinstance(members, np.ndarray) else list(members))
-        if arr.ndim != 1:
-            raise ValueError(f"node ids must form a one-dimensional sequence, "
-                             f"got {arr.ndim} dimensions")
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"node ids must be integers, got dtype {arr.dtype}")
-        arr = _unique(arr.astype(np.int64, copy=False))
+        arr = _unique(_int_ids(members, "node ids"))
         if arr.size and arr[0] < 0:
             raise ValueError("node ids must be non-negative")
         arr.flags.writeable = False
@@ -211,16 +228,18 @@ class LabeledGraph:
     def from_arrays(cls, n: int, u, v, w=None) -> "LabeledGraph":
         """Build a graph from edge columns; ``w`` defaults to all ones.
 
-        Every edge is checked before anything is dropped; the error names the
-        first bad edge in input order (an id out of range, then a non-finite
-        weight, then a negative one). Self-loops are dropped and counted.
-        Parallel edges are merged by summing their weights in input order;
-        twice the merged total must be finite.
+        ``u`` and ``v`` are read by ``_int_ids``, and the three columns must
+        have one length. Every edge is checked before anything is dropped;
+        the error names the first bad edge in input order (an id out of
+        range, then a non-finite weight, then a negative one). Self-loops
+        are dropped and counted. Parallel edges are merged by summing their
+        weights in input order; twice the merged total must be finite.
         """
         if n < 0:
             raise ValueError("node count must be non-negative")
-        u, v = np.asarray(u), np.asarray(v)
+        u, v = _int_ids(u, "edge endpoints"), _int_ids(v, "edge endpoints")
         w = np.ones(u.size) if w is None else np.asarray(w, dtype=np.float64)
+        _check_lengths("edge", u=u, v=v, w=w)
         outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
         infinite = ~np.isfinite(w)
         bad = outside | infinite | (w < 0.0)
@@ -232,7 +251,6 @@ class LabeledGraph:
             if infinite[i]:
                 raise ValueError(f"{edge} has non-finite weight {float(w[i])}")
             raise ValueError(f"{edge} has negative weight {float(w[i])}")
-        u, v = u.astype(np.int64), v.astype(np.int64)
         # key (lo, hi) as lo * n + hi; n^2 fits in int64 for any n whose
         # arrays fit in memory
         key = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
@@ -256,7 +274,7 @@ class LabeledGraph:
         """Build a graph from (u, v) or (u, v, w) items through
         :meth:`from_arrays`; unweighted pairs get weight 1.0."""
         rows = [(*item, 1.0) if len(item) == 2 else item for item in edges]
-        u, v, w = np.array(rows, dtype=object).reshape(len(rows), 3).T
+        u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
         return cls.from_arrays(n, u, v, w)
 
     @property

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairdsg.flow import FlowNetwork
 from fairdsg.graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _unique,
                            balance, color_counts, density, imbalance,
                            induced_subgraph, is_fair)
@@ -410,3 +411,75 @@ def test_graph_is_readonly(triangle):
         triangle.degrees[0] = 99.0
     with pytest.raises(ValueError):
         NodeSet([1, 2]).members[0] = 0
+
+
+# Every constructor that takes ids reads them by one rule. Each entry feeds a
+# column of ids into one constructor, beside columns of matching length that
+# pin the rest of the input, and returns the ids it read, in input order.
+_ID_TAKERS = {
+    "NodeSet": lambda ids, k: NodeSet(ids).as_tuple(),
+    "Coloring": lambda ids, k: tuple(Coloring(ids).codes.tolist()),
+    "from_arrays": lambda ids, k: tuple(
+        LabeledGraph.from_arrays(3, ids, [2] * k).edge_u.tolist()),
+    "from_edges": lambda ids, k: tuple(
+        LabeledGraph.from_edges(3, [(u, 2) for u in ids]).edge_u.tolist()),
+    "FlowNetwork": lambda ids, k: tuple(
+        FlowNetwork(3, 0, 2, ids, [2] * k, [1.0] * k)._tail[::2].tolist()),
+}
+
+# a factory of the input, its length and the ids it holds
+_ACCEPTED_IDS = [
+    pytest.param(lambda: [], 0, (), id="empty list"),
+    pytest.param(lambda: np.array([], dtype=np.float64), 0, (), id="empty float array"),
+    pytest.param(lambda: np.array([0, 1], dtype=np.uint8), 2, (0, 1), id="uint8"),
+    pytest.param(lambda: np.array([0, 1], dtype=np.int32), 2, (0, 1), id="int32"),
+    pytest.param(lambda: range(2), 2, (0, 1), id="range"),
+    pytest.param(lambda: (x for x in (0, 1)), 2, (0, 1), id="generator"),
+]
+
+# the input and what the error must name
+_REFUSED_IDS = [
+    pytest.param(np.array([0.0, 1.0]), "got dtype float64", id="float array"),
+    pytest.param([0.5, 1.7], "got dtype float64", id="float list"),
+    pytest.param(np.array([False, True]), "got dtype bool", id="bool array"),
+    pytest.param([False, True], "got dtype bool", id="bool list"),
+    pytest.param(np.array([0, None], dtype=object), "got dtype object",
+                 id="object array"),
+    pytest.param([0, 2**64], "got dtype object", id="ids beyond uint64"),
+    pytest.param(np.array([[0, 1]]), "got 2 dimensions", id="2-D array"),
+    pytest.param("01", "got dtype <U1", id="string"),
+    pytest.param(np.array(["0", "1"]), "got dtype <U1", id="string array"),
+]
+
+
+@pytest.mark.parametrize("taker", sorted(_ID_TAKERS))
+@pytest.mark.parametrize("make, k, ids", _ACCEPTED_IDS)
+def test_every_id_taker_accepts_integer_input(taker, make, k, ids):
+    assert _ID_TAKERS[taker](make(), k) == ids
+
+
+@pytest.mark.parametrize("taker", sorted(_ID_TAKERS))
+@pytest.mark.parametrize("bad, problem", _REFUSED_IDS)
+def test_every_id_taker_refuses_non_integer_input(taker, bad, problem):
+    with pytest.raises(ValueError, match=f"must (be integers|form a one-dimensional "
+                                         f"sequence), {problem}$"):
+        _ID_TAKERS[taker](bad, 2)
+
+
+def test_from_arrays_refuses_endpoint_columns_that_do_not_line_up():
+    with pytest.raises(ValueError, match=r"^edge columns do not line up: "
+                                         r"len\(u\) = 2, len\(v\) = 1, len\(w\) = 2$"):
+        LabeledGraph.from_arrays(3, [0, 1], [2])
+
+
+def test_from_arrays_refuses_a_weight_column_that_does_not_line_up():
+    with pytest.raises(ValueError, match=r"^edge columns do not line up: "
+                                         r"len\(u\) = 2, len\(v\) = 2, len\(w\) = 1$"):
+        LabeledGraph.from_arrays(3, [0, 1], [1, 2], [1.0])
+
+
+def test_flow_network_refuses_arc_columns_that_do_not_line_up():
+    with pytest.raises(ValueError, match=r"^arc columns do not line up: "
+                                         r"len\(tail\) = 2, len\(head\) = 2, "
+                                         r"len\(cap\) = 1$"):
+        FlowNetwork(3, 0, 2, [0, 1], [1, 2], [1.0])
