@@ -274,7 +274,11 @@ class LabeledGraph:
         """Build a graph from (u, v) or (u, v, w) items through
         :meth:`from_arrays`; unweighted pairs get weight 1.0."""
         rows = [(*item, 1.0) if len(item) == 2 else item for item in edges]
-        u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
+        for i, row in enumerate(rows):
+            if len(row) != 3:
+                raise ValueError(f"edge item {i} has {len(row)} entries; "
+                                 f"expected (u, v) or (u, v, w)")
+        u, v, w = zip(*rows) if rows else ((), (), ())
         return cls.from_arrays(n, u, v, w)
 
     @property

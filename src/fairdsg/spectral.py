@@ -187,13 +187,11 @@ def _lanczos(op, tol: float, seed: int, lock: np.ndarray | None = None,
         ritz = [ys[:, i] @ basis[:j + 1] for i in picks]
 
 
-def dominant_eigenpair(op, tol: float = TOL, seed: int = 0) -> EigenPair:
-    """Largest-algebraic eigenpair of ``op``, by Lanczos.
-
-    ``op`` is any symmetric operator exposing ``n``, ``d_max`` and
-    ``matvec(x)``: a :class:`LabeledGraph` or a :class:`ProjectedOperator`.
-    """
-    return _lanczos(op, tol, seed)[0]
+def dominant_eigenpair(op, seed: int = 0) -> EigenPair:
+    """Largest-algebraic eigenpair of ``op``, by Lanczos to ``TOL``; ``op`` is
+    any symmetric operator exposing ``n``, ``d_max`` and ``matvec(x)``: a
+    :class:`LabeledGraph` or a :class:`ProjectedOperator`."""
+    return _lanczos(op, TOL, seed)[0]
 
 
 def second_eigenvalue(op, first: EigenPair, tol: float = TOL, seed: int = 0) -> EigenPair:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -879,6 +880,17 @@ def test_every_name_in_the_package_all_resolves():
     star: dict = {}
     exec("from fairdsg import *", star)
     assert set(fairdsg.__all__) <= star.keys()
+
+
+def test_every_python_block_of_the_readme_runs(capsys):
+    # the examples import every name from its module, as users must
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out
 
 
 # Drawn edge-list files: 1-10 nodes, any color line, and edge lines in any

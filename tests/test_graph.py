@@ -235,6 +235,19 @@ def test_unweighted_edges_get_unit_weight():
     assert list(g.edges()) == [(0, 1, 1.0)]
 
 
+@pytest.mark.parametrize("edges, index, length", [
+    ([(0, 1), (1, 2, 1.0, 4)], 1, 4),
+    ([(0,), (1, 2)], 0, 1),
+    ([(0, 1), ()], 1, 0),
+    ([(0, 1, 1.0, 4), (1, 2, 1.0, 4)], 0, 4),
+])
+def test_from_edges_names_a_malformed_item(edges, index, length):
+    with pytest.raises(ValueError) as info:
+        LabeledGraph.from_edges(3, edges)
+    assert str(info.value) == (f"edge item {index} has {length} entries; "
+                               f"expected (u, v) or (u, v, w)")
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="negative weight"):
         LabeledGraph.from_edges(2, [(0, 1, -1.0)])

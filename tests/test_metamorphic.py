@@ -3,6 +3,8 @@ effect on every algorithm's answer is known without solving anything."""
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,3 +58,33 @@ def test_isolated_red_blue_pairs_leave_the_exact_optimum_unchanged(case, pairs):
     before, after = exact_densest_subgraph(g), exact_densest_subgraph(padded)
     assert after.node_set == before.node_set
     assert after.density == before.density
+
+
+def _weighted_graphs(count: int):
+    """``count`` seeded graphs of 6-59 nodes with n to 3n uniform edge draws,
+    weights from U(0.1, 4) and a random coloring."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 60))
+        m = int(rng.integers(n, 3 * n + 1))
+        u, v = rng.integers(0, n, size=(2, m))
+        g = LabeledGraph.from_arrays(n, u, v, rng.uniform(0.1, 4.0, size=m))
+        yield seed, g, Coloring(rng.integers(0, 2, size=n))
+
+
+@pytest.mark.parametrize("k", [8, 40, pytest.param(-30, marks=pytest.mark.xfail(
+    strict=True, reason="the eigensolver's absolute floor: a pair is accepted "
+    "on a residual of tol * max(|theta|, 1, ...), and the absolute 1 does not "
+    "scale with the weights, so at 2^-30 the random start vector passes"))])
+def test_a_power_of_two_weight_rescale_leaves_every_node_set_unchanged(k):
+    # scaling by 2^k is exact in floating point, so every algorithm should
+    # pick the same nodes and the exact density should scale exactly
+    changed = []
+    for seed, g, c in _weighted_graphs(40):
+        scaled = LabeledGraph.from_arrays(g.n, g.edge_u, g.edge_v,
+                                          np.ldexp(g.edge_w, k))
+        density = exact_densest_subgraph(g).density
+        if (_node_sets(scaled, c) != _node_sets(g, c)
+                or exact_densest_subgraph(scaled).density != np.ldexp(density, k)):
+            changed.append(seed)
+    assert changed == []

@@ -266,7 +266,7 @@ def test_unit_norm_and_residual_contract():
 def test_nonconvergence_raises_with_best_residual(k22, monkeypatch):
     monkeypatch.setattr(spectral, "MAX_MATVECS", 3)
     with pytest.raises(ConvergenceError) as err:
-        dominant_eigenpair(k22, tol=1e-30)
+        spectral_profile(k22, tol=1e-30)
     assert err.value.best_residual > 0.0
     assert err.value.iterations == 3
 
@@ -292,7 +292,7 @@ def test_nan_or_infinite_tol_rejected_before_any_matvec(k22):
 
     for tol in (float("nan"), float("inf"), 0.0):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
-            dominant_eigenpair(Counted(), tol=tol)
+            spectral_profile(Counted(), tol=tol)
     assert products == []
 
 
