@@ -312,10 +312,12 @@ def _cmd_pareto(args) -> int:
     valid = (*SPECTRAL_ALGORITHMS, "2dfsg")
     if not algorithms:
         raise ValueError("--algorithms names no algorithm")
-    for name in algorithms:
+    for i, name in enumerate(algorithms):
         if name not in valid:
             raise ValueError(f"unknown pareto algorithm {name!r}; "
                              f"choose from {', '.join(valid)}")
+        if name in algorithms[:i]:
+            raise ValueError(f"--algorithms names {name!r} twice")
     g, c = load_edgelist(args.input)
     optimum = exact_densest_subgraph(g).node_set if "2dfsg" in algorithms else None
     rows = []

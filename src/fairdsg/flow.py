@@ -58,6 +58,7 @@ class FlowNetwork:
                  tail, head, cap):
         if n_nodes < 2:
             raise ValueError("a flow network needs at least source and sink")
+        source, sink = _int_ids([source, sink], "source and sink").tolist()
         if not (0 <= source < n_nodes and 0 <= sink < n_nodes):
             raise ValueError("source/sink ids out of range")
         if source == sink:
@@ -69,8 +70,18 @@ class FlowNetwork:
         if unknown.any():
             k = int(np.argmax(unknown))
             raise ValueError(f"arc ({tail[k]}, {head[k]}) references an unknown node")
+        if not np.isfinite(cap).all():
+            k = int(np.argmax(~np.isfinite(cap)))
+            raise ValueError(f"arc ({tail[k]}, {head[k]}) has non-finite capacity "
+                             f"{cap[k]}")
         if (cap < 0).any():
             raise ValueError("capacities must be non-negative")
+        # every flow value is at most the capacity out of the source
+        with np.errstate(over="ignore"):
+            out_of_source = float(cap[tail == source].sum())
+        if not np.isfinite(out_of_source):
+            raise ValueError(f"capacities out of the source sum to {out_of_source}, "
+                             f"not a finite float")
         self.n = n_nodes
         self.source = source
         self.sink = sink
@@ -221,12 +232,13 @@ def _densest_core(g: LabeledGraph) -> tuple[np.ndarray, LabeledGraph]:
     subgraph they induce, relabelled in id order.
 
     Peels to the L/2-core, L from ``_peel_lower_bound``, then again with
-    L = rho(core) while the core is denser than L. Each round starts from
-    the core's degrees as fresh sums. Its first wave, every node below L/2,
-    leaves at once, and the survivors' degrees are summed afresh in arrays.
-    A stack takes the cascade: a node leaves once, its neighbours' degrees
-    are decremented, and a decremented degree is summed afresh before its
-    node is dropped, so rounding in the running sums never drops one.
+    L = rho(core) while the core is denser than L. Each round peels the
+    current core in its own ids, from its degrees as fresh sums. Its first
+    wave, every node below L/2, leaves at once, and the survivors' degrees
+    are summed afresh in arrays. A stack takes the cascade: a node leaves
+    once, its neighbours' degrees are decremented, and a decremented degree
+    is summed afresh before its node is dropped, so rounding in the running
+    sums never drops one.
     """
     lower = _peel_lower_bound(g)
     kept, core = np.arange(g.n), g
@@ -239,16 +251,10 @@ def _densest_core(g: LabeledGraph) -> tuple[np.ndarray, LabeledGraph]:
         fresh = np.bincount(core.arc_src[both], weights=core.arc_w[both],
                             minlength=core.n)
         seeds = inside & (fresh < limit)
-        alive = np.zeros(g.n, dtype=bool)
-        alive[kept] = inside & ~seeds
-        stack = kept[seeds].tolist()
-        if stack:
-            indptr = g.indptr.tolist()
-            dst = g.arc_dst.tolist()
-            wt = g.arc_w.tolist()
-            deg = np.zeros(g.n)
-            deg[kept] = fresh
-            alive, deg = alive.tolist(), deg.tolist()
+        alive = inside & ~seeds
+        if stack := np.flatnonzero(seeds).tolist():
+            indptr, dst, wt = (a.tolist() for a in (core.indptr, core.arc_dst, core.arc_w))
+            alive, deg = alive.tolist(), fresh.tolist()
             while stack:
                 v = stack.pop()
                 for a in range(indptr[v], indptr[v + 1]):
@@ -261,10 +267,10 @@ def _densest_core(g: LabeledGraph) -> tuple[np.ndarray, LabeledGraph]:
                             if deg[u] < limit:
                                 alive[u] = False
                                 stack.append(u)
-        kept = np.flatnonzero(alive)
-        core = induced_subgraph(g, NodeSet(kept))
-        rho = 2.0 * core.total_weight / core.n
-        if rho <= lower:
+        # an induced core keeps each node's arcs in CSR order
+        survivors = NodeSet(np.flatnonzero(alive))
+        core, kept = induced_subgraph(core, survivors), kept[survivors.members]
+        if (rho := 2.0 * core.total_weight / core.n) <= lower:
             return kept, core
         lower = rho
 

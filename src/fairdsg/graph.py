@@ -26,7 +26,8 @@ def _int_ids(values: Iterable[int], what: str) -> np.ndarray:
     The one reading of ids and color codes for every constructor. An empty
     list, which numpy reads as float64, is the empty array; float, boolean,
     object, string and multi-dimensional input raises a ValueError that names
-    ``what`` and the dtype or the dimensions. Ranges are the caller's check.
+    ``what`` and the dtype or the dimensions, and so does an unsigned id
+    above the int64 range, naming it. Other ranges are the caller's check.
     """
     arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
     if arr.ndim != 1:
@@ -34,6 +35,9 @@ def _int_ids(values: Iterable[int], what: str) -> np.ndarray:
                          f"got {arr.ndim} dimensions")
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and (beyond := arr > np.iinfo(np.int64).max).any():
+        raise ValueError(f"{what} must be at most 2**63 - 1, "
+                         f"got {arr[np.argmax(beyond)]}")
     return arr.astype(np.int64, copy=False)
 
 

@@ -48,6 +48,8 @@ def normalized_density(record: SolutionRecord, optimum: float) -> float:
     """record density / unconstrained optimum density; 0 for failed runs."""
     if optimum <= 0.0:
         raise ValueError("zero unconstrained optimum; normalization undefined")
+    if not np.isfinite(optimum):
+        raise ValueError(f"unconstrained optimum {optimum} is not a finite float")
     if record.status is not SolveStatus.FOUND:
         return 0.0
     return record.density / optimum

@@ -141,6 +141,9 @@ def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"eigenvector of length {v.size} does not match n={g.n}")
+    if not np.isfinite(v).all():
+        k = int(np.argmax(~np.isfinite(v)))
+        raise ValueError(f"eigenvector entry {k} is {v[k]}, not a finite float")
     is_red = c.codes == RED
     n_steps = min(c.n_red, c.n_blue) if paired else g.n
     steps = np.empty((len(orderings), g.n), dtype=np.int64)

@@ -187,6 +187,29 @@ def test_usage_and_data_errors(small_graph_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["ingest-amazon", "--input", "{dir}/none.jsonl", "--out-dir",
+                  "{dir}/pairs", "--min-nodes", "0"],
+                 "--min-nodes must be at least 1", id="min-nodes 0"),
+    pytest.param(["planted", "--n", "4", "--m", "2", "--d", "1", "--seeds", "0",
+                  "--out", "{dir}/p.csv"], "--seeds must be at least 1", id="seeds 0"),
+    # lambda_1 = 1 = |lambda_n| on every draw, so the hypotheses never hold
+    pytest.param(["planted", "--n", "4", "--m", "2", "--d", "1",
+                  "--require-hypotheses", "--out", "{dir}/p.csv"],
+                 "no instance with holding hypotheses found for seed 0 after 100 "
+                 "attempts", id="hypotheses never hold"),
+    pytest.param(["summary", "--input", "{dir}/header_only.csv", "--out", "{dir}/s.csv"],
+                 "no result rows found in the input files", id="summary of no rows"),
+])
+def test_argument_and_input_errors_exit_2_and_name_the_problem(tmp_path, capsys,
+                                                               argv, message):
+    (tmp_path / "header_only.csv").write_text("algorithm,normalized_density,status\n",
+                                              encoding="utf-8")
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 def test_run_rejects_nan_edge_weight(tmp_path, capsys):
     path = tmp_path / "nan.el"
     path.write_text("3 2 1\nRRB\n0 1 1.0\n1 2 nan\n", encoding="utf-8")
@@ -622,6 +645,7 @@ def test_pareto_validates_algorithms_before_any_solve(small_graph_file, tmp_path
     monkeypatch.setattr(fairdsg.cli, "candidate_trace", no_solve)
     for algorithms, message in (("2dfsg,bogus", "unknown pareto algorithm 'bogus'"),
                                 ("fss,2dfsg,zz", "unknown pareto algorithm 'zz'"),
+                                ("fss,2dfsg,fss", "--algorithms names 'fss' twice"),
                                 (" , ", "--algorithms names no algorithm")):
         assert main(["pareto", "--input", small_graph_file, "--algorithms", algorithms,
                      "--out", str(tmp_path / "f.csv")]) == 2

@@ -88,6 +88,43 @@ def test_flow_network_validation():
         _network(3, 0, 2, [(0, 1, 1.0), (0, 1, -2.0)])
 
 
+@pytest.mark.parametrize("source, arcs, message", [
+    pytest.param(0, [(0, 1, 1.0), (1, 2, float("nan"))],
+                 r"^arc \(1, 2\) has non-finite capacity nan$", id="nan"),
+    pytest.param(0, [(0, 1, 1.0), (1, 2, float("inf"))],
+                 r"^arc \(1, 2\) has non-finite capacity inf$", id="inf"),
+    pytest.param(0, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)],
+                 r"^capacities out of the source sum to inf, not a finite float$",
+                 id="source arcs overflow"),
+    pytest.param(0.5, [(0, 1, 1.0)],
+                 r"^source and sink must be integers, got dtype float64$",
+                 id="float source"),
+])
+def test_flow_network_refuses_what_max_flow_would_answer_wrongly(source, arcs, message):
+    with pytest.raises(ValueError, match=message):
+        _network(3, source, 2, arcs)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: _network(3, 3, 2, [(0, 1, 1.0)]), "source/sink ids out of range",
+                 id="source past the last node"),
+    pytest.param(lambda: _network(3, 0, -1, [(0, 1, 1.0)]), "source/sink ids out of range",
+                 id="negative sink"),
+    pytest.param(lambda: exact_densest_subgraph(LabeledGraph.from_arrays(0, [], [])),
+                 "graph has no nodes", id="exact of no nodes"),
+])
+def test_flow_errors_name_the_problem(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_exact_densest_of_one_edge_whose_capacities_sum_past_the_float_range():
+    # the network's capacities sum to inf, but only its source arcs bound a flow
+    g = LabeledGraph.from_arrays(2, [0], [1], [6e307])
+    res = exact_densest_subgraph(g)
+    assert res.node_set.as_tuple() == (0, 1) and res.density == 6e307
+
+
 
 # zero, integer, dyadic and arbitrary capacities, and ones below the solver's
 # tolerance of 1e-12 times the largest capacity
@@ -548,10 +585,26 @@ _EXACT_WEIGHTS = st.one_of(st.just(1.0), st.integers(1, 9).map(float),
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(peel_graphs(st.just(1.0)), peel_graphs(_EXACT_WEIGHTS)))
+@given(st.one_of(peel_graphs(st.just(1.0)), peel_graphs(_EXACT_WEIGHTS),
+                 peel_graphs(st.floats(0.01, 1.0))))
 def test_densest_core_keeps_the_stack_peels_ids(g):
-    # weights with exact sums: every degree is the same on both sides
+    # with exact sums every degree is the same on both sides; with float
+    # weights the drop slack keeps rounding from changing a drop
     assert _densest_core(g)[0].tolist() == stack_peel_core(g)[0].tolist()
+
+
+def test_densest_core_peels_each_round_from_the_last_core():
+    rng = np.random.default_rng(0)
+    u, v = rng.integers(0, 400, size=(2, 1200))
+    g = LabeledGraph.from_arrays(400, u, v, rng.uniform(0.1, 2.0, size=1200))
+    with mock.patch.object(flow, "induced_subgraph",
+                           wraps=flow.induced_subgraph) as induced:
+        kept, core = _densest_core(g)
+    # each round's core is induced from the last round's, not from g
+    assert [call.args[1].size for call in induced.call_args_list] == [329, 312, 311, 311]
+    assert [call.args[0].n for call in induced.call_args_list] == [400, 329, 312, 311]
+    assert kept.tolist() == stack_peel_core(g)[0].tolist()
+    assert core.n == 311
 
 
 @settings(max_examples=200, deadline=None)

@@ -479,6 +479,32 @@ def test_every_id_taker_refuses_non_integer_input(taker, bad, problem):
         _ID_TAKERS[taker](bad, 2)
 
 
+@pytest.mark.parametrize("taker", sorted(_ID_TAKERS))
+@pytest.mark.parametrize("bad, value", [
+    pytest.param(np.array([1, 2**63], dtype=np.uint64), 2**63, id="2**63"),
+    pytest.param(np.array([2**64 - 1, 1], dtype=np.uint64), 2**64 - 1, id="2**64 - 1"),
+    pytest.param([2**63], 2**63, id="list of one"),
+])
+def test_every_id_taker_refuses_unsigned_ids_beyond_int64(taker, bad, value):
+    # an int64 cast would wrap 2**63 round to -2**63
+    with pytest.raises(ValueError, match=f"must be at most 2\\*\\*63 - 1, got {value}$"):
+        _ID_TAKERS[taker](bad, len(bad))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Coloring([0, 2]), r"color codes must be RED \(0\) or BLUE \(1\)",
+                 id="color code 2"),
+    pytest.param(lambda: NodeSet([-1]), "node ids must be non-negative", id="negative id"),
+    pytest.param(lambda: LabeledGraph.from_arrays(-1, [], []),
+                 "node count must be non-negative", id="negative node count"),
+    pytest.param(lambda: LabeledGraph.from_arrays(3, [0], [1]).matvec(np.ones(2)),
+                 "vector of length 2 does not match n=3", id="matvec length"),
+])
+def test_graph_errors_name_the_problem(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_from_arrays_refuses_endpoint_columns_that_do_not_line_up():
     with pytest.raises(ValueError, match=r"^edge columns do not line up: "
                                          r"len\(u\) = 2, len\(v\) = 1, len\(w\) = 2$"):

@@ -428,6 +428,44 @@ def test_edgelist_body_errors_name_the_first_bad_line(body, message):
     assert str(info.value) == message
 
 
+_EDGE = LabeledGraph.from_arrays(2, [0], [1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: parse_gml('graph [\n node [ label "a" ]\n]'), ParseError,
+                 "line 2: node block without id", id="gml node without id"),
+    pytest.param(lambda: parse_gml("graph [\n node [ id 0 ]\n edge [ target 0 ]\n]"),
+                 ParseError, "line 3: edge block without source",
+                 id="gml edge without source"),
+    pytest.param(lambda: parse_gml('graph [\n node [ id "0" ]\n]'), ParseError,
+                 "line 2: node id must be an integer", id="gml string node id"),
+    pytest.param(lambda: parse_gml('graph [\n node [ id 0 ]\n'
+                                   ' edge [ source 0 target "0" ]\n]'),
+                 ParseError, "line 3: edge target must be an integer",
+                 id="gml string edge id"),
+    pytest.param(lambda: parse_gml("graph [\n node [ id 1.5 ]\n]"), ParseError,
+                 "line 2: node id must be an integer, got '1.5'",
+                 id="gml non-integer node id"),
+    pytest.param(lambda: parse_gml("graph [\n node [ id 0 ]\n"
+                                   " edge [ source x target 0 ]\n]"),
+                 ParseError, "line 3: edge source must be an integer, got 'x'",
+                 id="gml non-integer edge id"),
+    pytest.param(lambda: category_pair_subgraphs(_EDGE, ["a", "b"], min_nodes=0),
+                 ValueError, "min_nodes must be at least 1", id="pairs of min_nodes 0"),
+    pytest.param(lambda: category_pair_subgraphs(_EDGE, ["a"], min_nodes=1),
+                 ValueError, "categories length must equal the node count",
+                 id="pairs of too few categories"),
+    pytest.param(lambda: read_edgelist(io.StringIO("2 x 1\nRB\n")), IngestError,
+                 "edge list: non-integer header '2 x 1'", id="edge list header"),
+    pytest.param(lambda: read_edgelist(io.StringIO("# c\n2 1 1\n")), IngestError,
+                 "edge list: missing color line", id="edge list without colors"),
+])
+def test_ingest_errors_name_the_problem(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_edgelist_id_beyond_int64_is_a_bad_line():
     text = "3 2 1\nRBR\n0 1 1.0\n0 99999999999999999999 1.0\n"
     with pytest.raises(IngestError, match="^edge list line 4: bad edge"):

@@ -105,6 +105,17 @@ def test_normalized_density(k4, k4_rrbb):
     edgeless = LabeledGraph.from_edges(2, [])
     with pytest.raises(ValueError, match="zero unconstrained optimum"):
         normalized_density(rec, optimum=exact_densest_subgraph(edgeless).density)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^unconstrained optimum {bad} is not "
+                                             f"a finite float$"):
+            normalized_density(rec, optimum=bad)
+
+
+@pytest.mark.parametrize("comment", ["", "manifest:{}", "# manifest: {}", "{}"])
+def test_manifest_comment_without_its_prefix_is_refused(comment):
+    with pytest.raises(ValueError) as info:
+        RunManifest.from_comment(comment)
+    assert str(info.value) == f"not a manifest comment: {comment!r}"
 
 
 def test_summarize_percentages_and_quartiles():

@@ -22,6 +22,22 @@ def test_fairness_vector_examples():
     assert abs(np.linalg.norm(f) - 1.0) <= 1e-12
 
 
+_ONE_NODE = LabeledGraph.from_arrays(1, [], [])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: fairness_vector(Coloring([])),
+                 "fairness vector needs at least one node", id="empty coloring"),
+    pytest.param(lambda: second_eigenvalue(_ONE_NODE, dominant_eigenpair(_ONE_NODE)),
+                 "a 1-node operator has no second eigenpair", id="second of one node"),
+    pytest.param(lambda: spectral_profile(_ONE_NODE),
+                 "spectral profile needs at least two nodes", id="profile of one node"),
+])
+def test_spectral_errors_name_the_problem(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_fair_indicator_orthogonal_to_fairness_vector():
     rng = np.random.default_rng(11)
     for _ in range(20):

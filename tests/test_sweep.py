@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from fairdsg import sweep
 from fairdsg.flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
 from fairdsg.graph import RED, Coloring, LabeledGraph, density
 from fairdsg.planted import PlantedParams, generate, run_recovery
@@ -258,11 +259,21 @@ def test_single_ordering_mode():
     assert all(a.shape == (16,) for a in candidate_trace("ss", g, c))
 
 
-def test_dimension_mismatch_rejected(k4, k4_rrbb):
+def test_dimension_mismatch_rejected(k4, k4_rrbb, monkeypatch):
     with pytest.raises(ValueError, match="does not match"):
         general_sweep(k4, k4_rrbb, np.ones(3), 0.0)
     with pytest.raises(ValueError, match="does not match"):
         paired_sweep(k4, k4_rrbb, np.ones(5))
+    for bad in (np.nan, np.inf, -np.inf):
+        v = np.array([0.5, 0.5, bad, 0.5])
+        message = f"^eigenvector entry 2 is {bad}, not a finite float$"
+        with pytest.raises(ValueError, match=message):
+            general_sweep(k4, k4_rrbb, v, 0.0)
+        with pytest.raises(ValueError, match=message):
+            paired_sweep(k4, k4_rrbb, v)
+        monkeypatch.setattr(sweep, "sweep_eigenvector", lambda *a, v=v, **k: v)
+        with pytest.raises(ValueError, match=message):
+            candidate_trace("fss", k4, k4_rrbb)
 
 
 def test_nan_or_negative_delta_rejected(k4, k4_rrbb):
