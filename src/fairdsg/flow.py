@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _check_lengths,
-                    _int_ids, color_counts, density, induced_subgraph, is_fair)
+from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _int_ids,
+                    _read_columns, color_counts, density, induced_subgraph, is_fair)
 from .sweep import SolutionRecord, SolveStatus, _balance, _prefix_sums, make_record
 
 
@@ -48,8 +48,8 @@ def _interleave(a, b) -> np.ndarray:
 class FlowNetwork:
     """s-t network held in arrays. Input arc k, ``tail[k] -> head[k]`` with
     capacity ``cap[k]``, is arc 2k; its residual reverse, capacity 0, is arc
-    2k + 1. ``tail`` and ``head`` are read by ``graph._int_ids``, and the
-    three columns must have one length. ``_tail``, ``_head`` (int64) and
+    2k + 1. The columns are read and checked by ``graph._read_columns``,
+    the rule of ``LabeledGraph.from_arrays``. ``_tail``, ``_head`` (int64) and
     ``_cap`` (float64) are indexed by arc id. The CSR index groups the arc
     ids by tail: node u owns ``_by_tail[_offsets[u]:_offsets[u + 1]]``, in
     arc-id order."""
@@ -63,19 +63,8 @@ class FlowNetwork:
             raise ValueError("source/sink ids out of range")
         if source == sink:
             raise ValueError("source and sink must differ")
-        tail, head = _int_ids(tail, "arc endpoints"), _int_ids(head, "arc endpoints")
-        cap = np.asarray(cap, dtype=np.float64)
-        _check_lengths("arc", tail=tail, head=head, cap=cap)
-        unknown = (tail < 0) | (tail >= n_nodes) | (head < 0) | (head >= n_nodes)
-        if unknown.any():
-            k = int(np.argmax(unknown))
-            raise ValueError(f"arc ({tail[k]}, {head[k]}) references an unknown node")
-        if not np.isfinite(cap).all():
-            k = int(np.argmax(~np.isfinite(cap)))
-            raise ValueError(f"arc ({tail[k]}, {head[k]}) has non-finite capacity "
-                             f"{cap[k]}")
-        if (cap < 0).any():
-            raise ValueError("capacities must be non-negative")
+        tail, head, cap = _read_columns("arc", "capacity", n_nodes,
+                                        tail=tail, head=head, cap=cap)
         # every flow value is at most the capacity out of the source
         with np.errstate(over="ignore"):
             out_of_source = float(cap[tail == source].sum())

@@ -41,14 +41,34 @@ def _int_ids(values: Iterable[int], what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _check_lengths(what: str, **columns: np.ndarray) -> None:
-    """Raise one ValueError that names every column's length (its shape, if
-    it is not 1-D) unless all the columns have one shape."""
-    if len({c.shape for c in columns.values()}) > 1:
+def _read_columns(what: str, value: str, n: int, **columns):
+    """The endpoint, endpoint and value columns of edges or arcs, as int64,
+    int64 and float64: the one column rule of ``LabeledGraph.from_arrays``
+    and ``flow.FlowNetwork``. Endpoints are read by ``_int_ids``. Columns of
+    different shapes raise one ValueError naming each one's length (its
+    shape, if not 1-D); else the error names the first bad item in input
+    order: an endpoint outside 0..n-1, then a non-finite ``value``, then a
+    negative one."""
+    u, v, w = columns.values()
+    u, v = _int_ids(u, f"{what} endpoints"), _int_ids(v, f"{what} endpoints")
+    w = np.asarray(w, dtype=np.float64)
+    if len({u.shape, v.shape, w.shape}) > 1:
         given = ", ".join(f"len({name}) = {c.size}" if c.ndim == 1
                           else f"{name}.shape = {c.shape}"
-                          for name, c in columns.items())
+                          for name, c in zip(columns, (u, v, w)))
         raise ValueError(f"{what} columns do not line up: {given}")
+    outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    infinite = ~np.isfinite(w)
+    bad = outside | infinite | (w < 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        item = f"{what} ({int(u[i])}, {int(v[i])})"
+        if outside[i]:
+            raise ValueError(f"{item} references a node id outside 0..{n - 1}")
+        if infinite[i]:
+            raise ValueError(f"{item} has non-finite {value} {float(w[i])}")
+        raise ValueError(f"{item} has negative {value} {float(w[i])}")
+    return u, v, w
 
 
 class Coloring:
@@ -232,29 +252,16 @@ class LabeledGraph:
     def from_arrays(cls, n: int, u, v, w=None) -> "LabeledGraph":
         """Build a graph from edge columns; ``w`` defaults to all ones.
 
-        ``u`` and ``v`` are read by ``_int_ids``, and the three columns must
-        have one length. Every edge is checked before anything is dropped;
-        the error names the first bad edge in input order (an id out of
-        range, then a non-finite weight, then a negative one). Self-loops
-        are dropped and counted. Parallel edges are merged by summing their
-        weights in input order; twice the merged total must be finite.
+        ``_read_columns`` checks every edge before anything is dropped.
+        Self-loops are dropped and counted. Parallel edges are merged by
+        summing their weights in input order; twice the merged total must be
+        finite.
         """
         if n < 0:
             raise ValueError("node count must be non-negative")
-        u, v = _int_ids(u, "edge endpoints"), _int_ids(v, "edge endpoints")
-        w = np.ones(u.size) if w is None else np.asarray(w, dtype=np.float64)
-        _check_lengths("edge", u=u, v=v, w=w)
-        outside = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        infinite = ~np.isfinite(w)
-        bad = outside | infinite | (w < 0.0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            edge = f"edge ({int(u[i])}, {int(v[i])})"
-            if outside[i]:
-                raise ValueError(f"{edge} references a node id outside 0..{n - 1}")
-            if infinite[i]:
-                raise ValueError(f"{edge} has non-finite weight {float(w[i])}")
-            raise ValueError(f"{edge} has negative weight {float(w[i])}")
+        u = _int_ids(u, "edge endpoints")
+        u, v, w = _read_columns("edge", "weight", n, u=u, v=v,
+                                w=np.ones(u.size) if w is None else w)
         # key (lo, hi) as lo * n + hi; n^2 fits in int64 for any n whose
         # arrays fit in memory
         key = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]

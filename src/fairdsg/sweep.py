@@ -101,18 +101,19 @@ def make_record(g: LabeledGraph, c: Coloring, s: NodeSet,
         n_red_in_s=red, n_blue_in_s=blue, status=status)
 
 
+#: each ordering's sort key; a stable argsort of it realizes the ordering
+_SORT_KEYS = {Ordering.NON_INCREASING: np.negative, Ordering.NON_DECREASING: np.positive,
+              Ordering.ABS_NON_INCREASING: lambda v: -np.abs(v),
+              Ordering.ABS_NON_DECREASING: np.abs}
+
+
 def ordering_permutation(v: np.ndarray, ordering: Ordering) -> np.ndarray:
-    """Node permutation realizing one ordering; ties broken by ascending id."""
-    v = np.asarray(v, dtype=np.float64)
-    if ordering is Ordering.NON_INCREASING:
-        key = -v
-    elif ordering is Ordering.NON_DECREASING:
-        key = v
-    elif ordering is Ordering.ABS_NON_INCREASING:
-        key = -np.abs(v)
-    else:
-        key = np.abs(v)
-    return np.argsort(key, kind="stable")
+    """Node permutation realizing one ordering; ties broken by ascending id.
+    Anything but an ``Ordering`` raises a ValueError that names it."""
+    if not isinstance(ordering, Ordering):
+        raise ValueError(f"unknown ordering {ordering!r}; expected an Ordering")
+    return np.argsort(_SORT_KEYS[ordering](np.asarray(v, dtype=np.float64)),
+                      kind="stable")
 
 
 def _prefix_sums(g: LabeledGraph, c: Coloring, step: np.ndarray, n_steps: int):
@@ -138,6 +139,8 @@ def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
     array, and ``size[o, s]``, ``dens[o, s]`` and ``red[o, s]`` are the size,
     density and red count of its prefix s, the nodes with step <= s.
     """
+    if not len(orderings):
+        raise ValueError("orderings must not be empty")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (g.n,):
         raise ValueError(f"eigenvector of length {v.size} does not match n={g.n}")

@@ -1,6 +1,10 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's computational paths: a per-edge
+These avoid the library's computational paths, with two exceptions that
+borrow one step each from ``fairdsg.flow``: ``stack_peel_core`` starts from
+``_peel_lower_bound`` and ``two_dfsg_prefixes`` takes its picks from
+``_padding``. Those two steps are checked against ``brute_densest_subsets``
+and ``greedy_padding`` on their own. Otherwise the references use a per-edge
 dict loop instead of array canonicalization, dense matrices instead of CSR
 matvecs, a classical Jacobi rotation eigensolver instead of Lanczos,
 subset/cut enumeration instead of flow, a full prefix re-scan instead
@@ -23,8 +27,8 @@ from collections import deque
 import numpy as np
 
 from fairdsg.flow import _DROP_SLACK, _interleave, _padding, _peel_lower_bound
-from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
-                           induced_subgraph)
+from fairdsg.graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, balance,
+                           density, induced_subgraph)
 from fairdsg.ingest import IngestError
 
 
@@ -399,6 +403,31 @@ def two_dfsg_prefixes(g, c, optimum):
         s = NodeSet([*optimum, *picks[:k]])
         out.append((s.size, density(g, s), balance(s, c)))
     return out
+
+
+def greedy_padding(g, c, base):
+    """The 2dfsg padding picks of ``base``, from scratch: while the current
+    set (base plus earlier picks) is unbalanced, the outside node of the
+    minority color with the most weight into it, each gain summed afresh
+    over the edge list; ties go to the smallest id."""
+    codes = c.codes.tolist()
+    current = set(base)
+    red = sum(codes[x] == RED for x in current)
+    minority = RED if red < len(current) - red else BLUE
+    edges = list(g.edges())
+
+    def gain(x):
+        return sum(w for a, b, w in edges
+                   if (a == x and b in current) or (b == x and a in current))
+
+    picks = []
+    for _ in range(abs(len(current) - 2 * red)):
+        pool = [x for x in range(g.n) if x not in current and codes[x] == minority]
+        if not pool:
+            break
+        picks.append(max(pool, key=lambda x: (gain(x), -x)))
+        current.add(picks[-1])
+    return picks
 
 
 def read_edgelist_reference(text: str):

@@ -906,6 +906,14 @@ def test_every_name_in_the_package_all_resolves():
     assert set(fairdsg.__all__) <= star.keys()
 
 
+def test_the_package_version_is_the_one_in_pyproject():
+    # every output manifest records __version__; tomllib is not in Python 3.10
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    version = re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project.group(1), re.M)
+    assert version == [fairdsg.__version__]
+
+
 def test_every_python_block_of_the_readme_runs(capsys):
     # the examples import every name from its module, as users must
     readme = Path(__file__).parents[1] / "README.md"

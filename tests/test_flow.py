@@ -5,12 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairdsg import flow
-from fairdsg.flow import (FlowNetwork, _densest_core, exact_densest_subgraph,
-                          max_flow, two_dfsg, two_dfsg_candidates)
+from fairdsg.flow import (FlowNetwork, _densest_core, _padding, _peel_lower_bound,
+                          exact_densest_subgraph, max_flow, two_dfsg,
+                          two_dfsg_candidates)
 from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
                            is_fair)
 from fairdsg.oracle import brute_force_densest
@@ -18,8 +19,8 @@ from fairdsg.sweep import SolveStatus
 
 from conftest import random_coloring, random_graph
 from oracles import (ListFlowNetwork, brute_densest_subsets, brute_largest_densest,
-                     brute_min_cut, dense_adjacency, list_max_flow, stack_peel_core,
-                     two_dfsg_prefixes)
+                     brute_min_cut, dense_adjacency, greedy_padding, list_max_flow,
+                     stack_peel_core, two_dfsg_prefixes)
 
 
 def _network(n, source, sink, arcs):
@@ -82,9 +83,9 @@ def test_flow_network_validation():
         FlowNetwork(1, 0, 0, [], [], [])
     with pytest.raises(ValueError):
         FlowNetwork(3, 0, 0, [], [], [])
-    with pytest.raises(ValueError, match="unknown node"):
+    with pytest.raises(ValueError, match=r"^arc \(0, 5\) references a node id outside 0\.\.2$"):
         _network(3, 0, 2, [(0, 1, 1.0), (0, 5, 1.0)])
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match=r"^arc \(0, 1\) has negative capacity -2\.0$"):
         _network(3, 0, 2, [(0, 1, 1.0), (0, 1, -2.0)])
 
 
@@ -116,6 +117,33 @@ def test_flow_network_refuses_what_max_flow_would_answer_wrongly(source, arcs, m
 def test_flow_errors_name_the_problem(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+_BAD_VALUES = st.sampled_from([1.0, 0.0, 2.5, -1.5, -0.0, float("nan"),
+                                float("inf"), float("-inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1), _BAD_VALUES),
+    max_size=6))))
+def test_arcs_and_edges_follow_one_column_rule(case):
+    # the first bad item in input order, by the same words for both
+    n, items = case
+    u, v, w = (list(col) for col in zip(*items)) if items else ([], [], [])
+
+    def message(build):
+        try:
+            build()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    edge = message(lambda: LabeledGraph.from_arrays(n, u, v, w))
+    arc = message(lambda: FlowNetwork(n, 0, 1, u, v, w))
+    if edge is not None:
+        edge = edge.replace("edge (", "arc (").replace(" weight ", " capacity ")
+    assert arc == edge
 
 
 def test_exact_densest_of_one_edge_whose_capacities_sum_past_the_float_range():
@@ -615,3 +643,30 @@ def test_exact_densest_with_the_stack_peel_is_unchanged(g):
         ref = exact_densest_subgraph(g)
     assert res.node_set == ref.node_set and res.iterations == ref.iterations
     assert np.float64(res.density).tobytes() == np.float64(ref.density).tobytes()
+
+
+@st.composite
+def small_integer_graphs(draw):
+    """Up to 12 nodes and 30 edge draws, weights 0..5, so every sum is
+    exact."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=30))
+    w = draw(st.lists(st.integers(0, 5), min_size=len(pairs), max_size=len(pairs)))
+    return LabeledGraph.from_arrays(n, [u for u, _ in pairs], [v for _, v in pairs], w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_integer_graphs())
+def test_peel_lower_bound_lies_between_the_whole_graph_and_the_optimum(g):
+    _, best = brute_densest_subsets(dense_adjacency(g), lambda members: True)
+    assert density(g, NodeSet(range(g.n))) <= _peel_lower_bound(g) <= best
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_integer_graphs(), st.data())
+def test_padding_picks_match_the_greedy_reference(g, data):
+    c = Coloring(data.draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n)))
+    base = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    assume(not is_fair(NodeSet(base), c))
+    assert _padding(g, c, NodeSet(base)).tolist() == greedy_padding(g, c, base)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 import time
 
 import numpy as np
@@ -23,6 +24,26 @@ from oracles import pair_rescan, subset_density, sweep_rescan, dense_adjacency
 def _eigvec(g, c, projected):
     op = ProjectedOperator(g, c) if projected else g
     return dominant_eigenpair(op, seed=1).vector
+
+
+@pytest.mark.parametrize("bad, orderings, message", [
+    pytest.param("non_increasing", ["non_increasing"],
+                 r"^unknown ordering 'non_increasing'; expected an Ordering$",
+                 id="a string"),
+    pytest.param(None, [None], r"^unknown ordering None; expected an Ordering$",
+                 id="None"),
+    pytest.param((), (), r"^orderings must not be empty$", id="no orderings"),
+])
+def test_sweeps_refuse_what_is_not_an_ordering(bad, orderings, message):
+    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    c = Coloring.from_labels("RBRB")
+    v = np.array([0.3, -0.9, 0.5, 0.1])
+    with pytest.raises(ValueError, match=rf"^unknown ordering {re.escape(repr(bad))};"):
+        ordering_permutation(v, bad)
+    with pytest.raises(ValueError, match=message):
+        general_sweep(g, c, v, delta=0.0, orderings=orderings)
+    with pytest.raises(ValueError, match=message):
+        paired_sweep(g, c, v, orderings=orderings)
 
 
 def test_ordering_permutations_tie_break_by_id():
