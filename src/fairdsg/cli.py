@@ -1,8 +1,10 @@
 """Command-line surface: ingestion, algorithm runs, recovery reports, fronts.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Every output file starts
-with a manifest comment recording the invocation, and all randomness flows
-from --seed (default 0) and nothing else, so identical invocations produce
+Exit codes: 0 success, 1 usage error, 2 data error. Each CSV and edge list
+starts with a manifest comment recording the invocation, except that a
+planted --save-instances .el starts with a comment of the instance's
+parameters and its .nodes file holds bare ids. All randomness flows from
+--seed (default 0) and nothing else, so identical invocations produce
 byte-identical files. Wall-clock timings are excluded from output unless
 --timings wall is given, because they would break that determinism contract.
 """
@@ -86,7 +88,8 @@ def _parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.0)
+    p.add_argument("--eps", type=float, default=0.0,
+                   help="recorded only: the planted subgraph is exactly d-regular")
     p.add_argument("--p-bg", type=float, default=0.0)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of instances (base seed, base seed + 1, ...)")
@@ -230,8 +233,6 @@ def _planted_row(args, base_seed: int) -> dict[str, object]:
     """One ``planted`` row, keyed by column in order: the instance drawn from
     ``base_seed`` (re-drawn while --require-hypotheses fails), its recovery."""
     attempts = 100 if args.require_hypotheses else 1
-    instance = None
-    seed_used = base_seed
     for attempt in range(attempts):
         seed_used = base_seed + attempt * _RETRY_STRIDE
         params = PlantedParams(n=args.n, m=args.m, d=args.d, eps=args.eps,

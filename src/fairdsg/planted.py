@@ -1,10 +1,11 @@
-"""Synthetic instances with a hidden fair, near-regular dense subgraph.
+"""Synthetic instances with a hidden fair, d-regular dense subgraph.
 
-An instance plants a d-regular (simple) subgraph on m nodes, colored half
-red and half blue, inside a sparse random background, then measures on the
-realized graph everything the recovery guarantee needs:
+An instance plants an exactly d-regular (simple) subgraph on m nodes,
+colored half red and half blue, inside a sparse random background, then
+measures on the realized graph everything the recovery guarantee needs:
 
   * eps: largest relative deviation of a planted internal degree from d,
+    a self-check that reads 0 (the parameter eps changes no draw),
   * theta: relative gap between d and the global maximum degree,
   * the extremal adjacency eigenvalues and lam = max(lambda2, |lambda_n|).
 
@@ -30,7 +31,7 @@ from .sweep import SPECTRAL_ALGORITHMS, SolutionRecord, general_sweep, sweep_eig
 RECOVERY_ALGORITHMS = tuple(name for name, (_, paired) in SPECTRAL_ALGORITHMS.items()
                             if not paired)
 
-# planted-subgraph samples drawn before giving up on the degree window
+# stalled pairings drawn before giving up on the planted subgraph
 _MAX_RETRIES = 100
 
 
@@ -58,7 +59,8 @@ class PlantedParams:
 
 @dataclass(frozen=True)
 class PlantedMeasurement:
-    """Quantities recomputed from the realized graph, not the parameters."""
+    """Quantities recomputed from the realized graph, not the parameters;
+    eps_measured checks the exactly d-regular planted degrees: it reads 0."""
 
     d_max: float
     theta: float
@@ -107,17 +109,15 @@ def _sample_regular_pairs(rng: np.random.Generator, m: int,
     return keys
 
 
-def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
-                            eps: float) -> np.ndarray:
-    """Internal edges, one (u, v) row each, on working ids 0..m-1 with
-    degrees in [(1-eps)d, (1+eps)d].
+def _planted_internal_edges(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """Internal edges of a d-regular simple graph, one (u, v) row each, on
+    working ids 0..m-1.
 
     Dense targets (d above (m-1)/2) are sampled as the complement of a
     sparse regular graph, where the stub matching behaves well.
     """
     complement = d > (m - 1) / 2
     d_sample = (m - 1 - d) if complement else d
-    lo, hi = (1.0 - eps) * d, (1.0 + eps) * d
     for _ in range(_MAX_RETRIES):
         keys = _sample_regular_pairs(rng, m, d_sample)
         if keys is None:
@@ -126,12 +126,9 @@ def _planted_internal_edges(rng: np.random.Generator, m: int, d: int,
             pairs = np.triu(np.ones((m, m), bool), 1)
             pairs.flat[keys] = False
             keys = np.flatnonzero(pairs)
-        edges = np.column_stack(np.divmod(keys, m))
-        deg = np.bincount(edges.ravel(), minlength=m)
-        if np.all((deg >= lo) & (deg <= hi)):
-            return edges
+        return np.column_stack(np.divmod(keys, m))
     raise ValueError(
-        f"could not sample a ({d}, {eps})-regular planted subgraph on {m} nodes "
+        f"could not sample a {d}-regular planted subgraph on {m} nodes "
         f"within {_MAX_RETRIES} attempts")
 
 
@@ -161,10 +158,11 @@ def generate(params: PlantedParams, *, eig_tol: float = TOL) -> PlantedInstance:
     Construction happens on working ids (planted nodes 0..m-1), with
     background edges drawn independently per non-internal pair, then a random
     permutation relabels everything. Generation is deterministic per seed.
+    ``params.eps`` is validated and recorded, but it changes no draw.
     """
     n, m, d = params.n, params.m, params.d
     rng = np.random.default_rng(params.seed)
-    inner = _planted_internal_edges(rng, m, d, params.eps)
+    inner = _planted_internal_edges(rng, m, d)
     edges = inner
     if params.p_bg > 0.0 and n > m:
         # Bernoulli(p_bg) per non-internal pair, by geometric skipping: O(n + E)
@@ -186,7 +184,7 @@ def generate(params: PlantedParams, *, eig_tol: float = TOL) -> PlantedInstance:
 
     internal_deg = np.bincount(inner.ravel(), minlength=m)
     eps_measured = float(np.max(np.abs(internal_deg - d)) / d) if d else 0.0
-    theta = max(0.0, 1.0 - d / graph.d_max) if graph.d_max > 0 else 0.0
+    theta = 1.0 - d / graph.d_max if graph.d_max > 0 else 0.0
     profile = spectral_profile(graph, tol=eig_tol, seed=params.seed)
     measured = PlantedMeasurement(
         d_max=graph.d_max, theta=theta, eps_measured=eps_measured,

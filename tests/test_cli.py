@@ -468,6 +468,22 @@ def test_planted_command_and_jobs_equivalence(tmp_path):
     assert rows_parallel == rows
 
 
+def test_require_hypotheses_redraws_until_they_hold(tmp_path):
+    base = ["planted", "--n", "150", "--m", "20", "--d", "15", "--eps", "0.1",
+            "--p-bg", "0.002", "--seed", "3", "--seeds", "2"]
+    out = tmp_path / "p.csv"
+    assert main(base + ["--out", str(out)]) == 0
+    _, rows = _rows(str(out))
+    assert [(r["seed"], r["seed_used"], r["hypotheses_hold"]) for r in rows] == [
+        ("3", "3", "false"), ("4", "4", "false")]
+    # the retries step by 1_000_003: seed 3 holds on its fourth draw, seed 4
+    # on its third
+    assert main(base + ["--require-hypotheses", "--out", str(out)]) == 0
+    _, rows = _rows(str(out))
+    assert [(r["seed"], r["seed_used"], r["hypotheses_hold"]) for r in rows] == [
+        ("3", "3000012", "true"), ("4", "2000010", "true")]
+
+
 def test_library_paths_never_take_numpys_hash_unique(tmp_path, monkeypatch):
     """numpy 2.4's plain ``np.unique`` on integers hashes, which is many times
     slower than the sort every set operation in fairdsg uses; no set routine

@@ -47,7 +47,7 @@ def _sha256(a: np.ndarray) -> str:
      "179cf8bcd462df4cb5b250cae5543f13c2c50ffa75f50859200004c565df0de3"),
 ])
 def test_planted_internal_edges_are_pinned(seed, m, d, shape, digest):
-    edges = _planted_internal_edges(np.random.default_rng(seed), m, d, 0.05)
+    edges = _planted_internal_edges(np.random.default_rng(seed), m, d)
     assert edges.shape == shape
     assert _sha256(edges) == digest
 
@@ -109,6 +109,23 @@ def test_realized_planted_subgraph_is_regular_within_window():
     # the collision-avoiding sampler actually lands exactly on d
     assert np.all(degs == params.d)
     assert inst.measured.eps_measured == 0.0
+
+
+# eps changes no draw: the planted subgraph is exactly d-regular for every eps.
+# A sampler that realizes eps > 0 has to change this test on purpose.
+@pytest.mark.parametrize("n, m, d, p_bg, seed", [
+    (120, 20, 7, 0.03, 11),
+    (300, 40, 30, 0.002, 1),  # d > (m - 1) / 2: the complement of a sparse sample
+])
+def test_eps_selects_nothing(n, m, d, p_bg, seed):
+    draws = []
+    for eps in (0.0, 0.25, 0.5, 0.9):
+        inst = generate(PlantedParams(n=n, m=m, d=d, eps=eps, p_bg=p_bg, seed=seed))
+        g = inst.graph
+        draws.append((g.edge_u.tobytes(), g.edge_v.tobytes(), g.edge_w.tobytes(),
+                      inst.coloring.codes.tobytes(), inst.planted_set))
+        assert inst.measured.eps_measured == 0.0
+    assert all(draw == draws[0] for draw in draws[1:])
 
 
 def test_planted_coloring_splits_planted_set_evenly():
