@@ -17,16 +17,24 @@ On the core it runs Dinkelbach's parametric iteration on Goldberg's
 network, built once from arc arrays: source -> u with capacity d_u, u -> sink
 with capacity rho, and each edge {u, v} as two arcs of capacity w(u, v). A cut
 with source side S (minus the source) costs 2 w(E) - |S| (rho(S) - rho),
-so the minimum cut maximizes |S| (rho(S) - rho). Each round sets the sink
-capacities to the density of the current set, and the min cut's source side
-is strictly denser until the current set is optimal.
+so the minimum cut maximizes |S| (rho(S) - rho). The network is netted to
+one terminal arc per node: source -> u gets (d_u - rho)+ and u -> sink gets
+(rho - d_u)+. Every cut holds exactly one of u's two terminal arcs, so
+netting takes sum_u min(d_u, rho) off every cut. The min cuts stay the
+same, and so does the source side of the residual graph after a max flow,
+the smallest min cut (Picard and Queyranne, 1980). Each round sets the
+terminal capacities at the density of the current set, and the min cut's
+source side is strictly denser until the current set is optimal. On a
+d-regular core at rho = d every terminal capacity is 0, so the first BFS
+certifies it.
 
 The network lives in arrays: int64 tail and head and float64 capacity per
 arc, input arc k at 2k and its reverse at 2k + 1, plus a CSR index of the
-arc ids grouped by tail. Max flow is Dinic's algorithm. Each phase takes its
-BFS levels from numpy, one frontier at a time, and selects the admissible
-arcs (residual above the tolerance, one level up); a Python DFS over just
-those arcs finds the phase's blocking flow.
+arc ids grouped by tail, from a radix sort of the tails. Max flow is
+Dinic's algorithm. Each phase takes its BFS levels from numpy, one frontier
+at a time, and selects the admissible arcs (residual above the tolerance,
+one level up); a Python DFS over just those arcs finds the phase's blocking
+flow.
 """
 
 from __future__ import annotations
@@ -42,7 +50,22 @@ from .sweep import SolutionRecord, SolveStatus, _balance, _prefix_sums, make_rec
 
 def _interleave(a, b) -> np.ndarray:
     """a[0], b[0], a[1], b[1], ...; a scalar stands for a constant array."""
-    return np.stack(np.broadcast_arrays(a, b), axis=1).ravel()
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.empty(2 * np.broadcast(a, b).size, dtype=np.result_type(a, b))
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int keys in 0..bound-1: a
+    radix sort over 16-bit digits, lowest first, since numpy sorts uint16
+    keys stably by counting."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, int(bound - 1).bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16),
+                                 kind="stable")]
+    return order
 
 
 class FlowNetwork:
@@ -77,7 +100,7 @@ class FlowNetwork:
         self._tail = _interleave(tail, head)
         self._head = _interleave(head, tail)
         self._cap = _interleave(cap, 0.0)
-        self._by_tail = np.argsort(self._tail, kind="stable")
+        self._by_tail = _stable_order(self._tail, n_nodes)
         self._offsets = np.concatenate(
             ([0], np.cumsum(np.bincount(self._tail, minlength=n_nodes))))
 
@@ -205,14 +228,15 @@ def _peel_lower_bound(g: LabeledGraph) -> float:
     """Best density among the sets a batch peel passes through; <= rho*."""
     alive = np.ones(g.n, dtype=bool)
     src, dst, w = g.arc_src, g.arc_dst, g.arc_w
+    deg = g.degrees
     best = 0.0
     while src.size:
-        deg = np.bincount(src, weights=w, minlength=g.n)
         rho = float(deg.sum()) / np.count_nonzero(alive)
         best = max(best, rho)
         alive &= deg > (1.0 + _PEEL_EPS) * rho
         keep = alive[src] & alive[dst]
         src, dst, w = src[keep], dst[keep], w[keep]
+        deg = np.bincount(src, weights=w, minlength=g.n)
     return best
 
 
@@ -270,19 +294,21 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
     The graph is first peeled to a core that holds every densest set (see
     the module docstring). Then Dinkelbach's iteration runs on the core from
     S = core: solve the min cut at rho = rho(S) and move to its source side
-    while that side is non-empty and strictly denser. Densities are
-    recomputed on the sets, so every accepted round raises the density and
-    the loop ends after finitely many solves; the last cut certifies that no
-    set of the core, and so none of the graph, beats rho(S). When the core
-    itself is densest, one solve certifies it. ``iterations`` counts the
-    solves. When no edge has positive weight, every node has density 0 and
-    one solve certifies the whole graph.
+    while that side is non-empty and strictly denser. Each solve runs on the
+    netted network, whose cuts are Goldberg's less sum_u min(d_u, rho).
+    Densities are recomputed on the sets, so every accepted round raises the
+    density and the loop ends after finitely many solves; the last cut
+    certifies that no set of the core, and so none of the graph, beats
+    rho(S). When the core itself is densest, one solve certifies it.
+    ``iterations`` counts the solves. When no edge has positive weight,
+    every node has density 0 and one solve certifies the whole graph.
     """
     if g.n < 1:
         raise ValueError("graph has no nodes")
     kept, core = _densest_core(g)
     # source -> u and u -> sink for every core node, then both orientations
-    # of every edge; u -> sink is input arc 2u + 1, at _cap[4u + 2]
+    # of every edge; source -> u is input arc 2u, at _cap[4u], and u -> sink
+    # is input arc 2u + 1, at _cap[4u + 2]
     source, sink = core.n, core.n + 1
     nodes = np.arange(core.n)
     tail = np.concatenate([_interleave(source, nodes),
@@ -291,12 +317,13 @@ def exact_densest_subgraph(g: LabeledGraph) -> DensestResult:
                            _interleave(core.edge_v, core.edge_u)])
     cap = np.concatenate([_interleave(core.degrees, 0.0), np.repeat(core.edge_w, 2)])
     net = FlowNetwork(core.n + 2, source, sink, tail, head, cap)
-    sink_arcs = slice(2, 4 * core.n, 4)
+    source_arcs, sink_arcs = slice(0, 4 * core.n, 4), slice(2, 4 * core.n, 4)
     best = NodeSet(range(core.n))
     rho = density(core, best)
     iterations = 0
     while True:
-        net._cap[sink_arcs] = rho
+        np.maximum(core.degrees - rho, 0.0, out=net._cap[source_arcs])
+        np.maximum(rho - core.degrees, 0.0, out=net._cap[sink_arcs])
         _, side = max_flow(net)
         iterations += 1
         chosen = NodeSet(side.members[side.members < core.n])

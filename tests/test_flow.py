@@ -15,6 +15,7 @@ from fairdsg.flow import (FlowNetwork, _densest_core, _padding, _peel_lower_boun
 from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
                            is_fair)
 from fairdsg.oracle import brute_force_densest
+from fairdsg.planted import PlantedParams, generate
 from fairdsg.sweep import SolveStatus
 
 from conftest import random_coloring, random_graph
@@ -206,6 +207,42 @@ def test_max_flow_matches_the_list_dinic_on_larger_networks():
         expected = list_max_flow(ListFlowNetwork(n, 0, 1, tail, head, cap))
         assert max_flow(FlowNetwork(n, 0, 1, tail, head, cap)) == expected
 
+
+@st.composite
+def wide_networks(draw):
+    """(n, source, sink, tail, head) with node ids past 2^16 and 2^17,
+    parallel arcs and arcs into the source."""
+    n = draw(st.sampled_from([2, 7, 2**16, 2**16 + 1, 2**17 + 3]))
+    node = st.one_of(st.integers(0, min(n, 5) - 1), st.integers(n - 5, n - 1),
+                     st.integers(0, n - 1)).filter(lambda u: 0 <= u < n)
+    source, sink = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    arcs = draw(st.lists(st.tuples(node, node), max_size=30))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=5)) if arcs else []
+    arcs += [(u, source) for u in draw(st.lists(node, max_size=3))]
+    arcs = draw(st.permutations(arcs))
+    return n, source, sink, [u for u, _ in arcs], [v for _, v in arcs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_networks())
+def test_flow_network_groups_arcs_by_tail_in_arc_id_order(case):
+    n, source, sink, tail, head = case
+    net = FlowNetwork(n, source, sink, tail, head, np.ones(len(tail)))
+    assert net._by_tail.tolist() == np.argsort(net._tail, kind="stable").tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2**40).flatmap(
+    lambda bound: st.tuples(st.just(bound),
+                            st.lists(st.integers(0, bound - 1), max_size=40))))
+def test_stable_order_is_the_stable_argsort(case):
+    # keys of up to three 16-bit digits, with repeats
+    bound, keys = case
+    keys = np.array(keys + keys[: len(keys) // 2], dtype=np.int64)
+    assert (flow._stable_order(keys, bound).tolist()
+            == np.argsort(keys, kind="stable").tolist())
+
+
 def test_max_flow_on_a_layered_network_with_dead_ends():
     # s = 0, t = 1; unit paths of 2, 3, 4 and 5 arcs take one phase each,
     # and the dead ends 12 -> 13 and 3 -> 14 (no arc onward) make the DFS
@@ -261,6 +298,91 @@ def test_exact_densest_k4_is_certified_by_one_solve(k4):
     assert res.node_set.as_tuple() == (0, 1, 2, 3)
     assert res.density == 3.0
     assert res.iterations == 1
+
+
+def test_a_regular_core_is_certified_by_one_bfs(k4):
+    # at rho = d on a d-regular core every netted terminal capacity is 0, so
+    # the one solve's first BFS reaches only the source and ends the flow
+    cycle = LabeledGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    inst = generate(PlantedParams(n=60, m=20, d=5, eps=0.0, p_bg=0.0, seed=3))
+    for g, densest, rho in [(k4, NodeSet(range(4)), 3.0),
+                            (cycle, NodeSet(range(6)), 2.0),
+                            (inst.graph, inst.planted_set, 5.0)]:
+        with mock.patch.object(flow, "_levels", wraps=flow._levels) as levels:
+            res = exact_densest_subgraph(g)
+        assert levels.call_count == 1
+        assert (res.node_set, res.density, res.iterations) == (densest, rho, 1)
+
+
+def _terminal_network(g: LabeledGraph, rho: float, netted: bool) -> FlowNetwork:
+    """The exact solver's network on ``g``, taken as the core, at ``rho``:
+    source -> u and u -> sink for each node u (input arcs 2u and 2u + 1),
+    then both orientations of each edge at capacity w. Goldberg's terminal
+    capacities are d_u and rho; netted, (d_u - rho)+ and (rho - d_u)+."""
+    n, d = g.n, g.degrees
+    if netted:
+        out, into = np.maximum(d - rho, 0.0), np.maximum(rho - d, 0.0)
+    else:
+        out, into = d, np.full(n, rho)
+    nodes = np.arange(n)
+    tail = np.concatenate([np.column_stack([np.full(n, n), nodes]).ravel(),
+                           np.column_stack([g.edge_u, g.edge_v]).ravel()])
+    head = np.concatenate([np.column_stack([nodes, np.full(n, n + 1)]).ravel(),
+                           np.column_stack([g.edge_v, g.edge_u]).ravel()])
+    cap = np.concatenate([np.column_stack([out, into]).ravel(),
+                          np.repeat(g.edge_w, 2)])
+    return FlowNetwork(n + 2, n, n + 1, tail, head, cap)
+
+
+def test_exact_densest_solves_the_netted_network():
+    # the K6 + K5 + cube graph of the three-round test below, whose core
+    # keeps every node: the rounds solve at the densities of V, K6 + K5, K6
+    k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+    k5 = [(6 + u, 6 + v) for u in range(5) for v in range(u + 1, 5)]
+    cube = [(11 + u, 11 + (u ^ bit)) for u in range(8) for bit in (1, 2, 4)
+            if u < u ^ bit]
+    g = LabeledGraph.from_edges(19, k6 + k5 + cube + [(5, 6), (10, 11)])
+    solved = []
+
+    def solve(net):
+        solved.append([a.copy() for a in (net._tail, net._head, net._cap)])
+        return max_flow(net)
+
+    with mock.patch.object(flow, "max_flow", side_effect=solve):
+        exact_densest_subgraph(g)
+    rounds = [density(g, NodeSet(range(k))) for k in (19, 11, 6)]
+    expected = [_terminal_network(g, rho, netted=True) for rho in rounds]
+    assert [[a.tobytes() for a in arrays] for arrays in solved] == [
+        [a.tobytes() for a in (net._tail, net._head, net._cap)] for net in expected]
+
+
+_TIED = st.sampled_from([1 / 3, 2 / 3, 1.0, 0.1, 2.0])
+
+
+@st.composite
+def tied_graphs_and_densities(draw):
+    """A graph of tied weights and a density: a node's degree, the whole
+    graph's density or any value up to past the largest degree."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=25))
+    w = draw(st.lists(_TIED, min_size=len(pairs), max_size=len(pairs)))
+    g = LabeledGraph.from_arrays(n, [a for a, _ in pairs], [b for _, b in pairs], w)
+    rho = draw(st.one_of(node.map(lambda u: float(g.degrees[u])),
+                         st.just(density(g, NodeSet(range(n)))),
+                         st.floats(0.0, g.d_max + 1.0)))
+    return g, rho
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_graphs_and_densities())
+def test_the_netted_network_cuts_like_goldbergs(case):
+    # netting takes sum_u min(d_u, rho) off every cut, so both networks have
+    # the same minimum cuts and their last BFS the same source side; the
+    # flow values differ by that sum only up to the solver's tolerance
+    g, rho = case
+    _, side = max_flow(_terminal_network(g, rho, netted=True))
+    assert side == max_flow(_terminal_network(g, rho, netted=False))[1]
 
 
 def test_exact_densest_takes_two_improving_rounds():

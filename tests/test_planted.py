@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fairdsg import planted
 from fairdsg.graph import NodeSet, density, is_fair
 from fairdsg.planted import (PlantedParams, _background_pairs,
                              _planted_internal_edges, generate, recovery_error,
@@ -138,14 +140,28 @@ def test_planted_coloring_splits_planted_set_evenly():
     assert inst.measured.theta >= 0.0
 
 
-def test_infeasible_regularity_raises():
-    # eps=0 with d < m-1 demands an exact d-regular sample; a 3-node planted
-    # set with d=1 cannot even satisfy the parity constraint
-    params = PlantedParams(n=10, m=4, d=1, eps=0.0, p_bg=0.0, seed=1)
-    inst = generate(params)  # d=1 on 4 nodes is a perfect matching; fine
+def test_small_extremes_of_regularity_generate():
+    # d = 1 on 4 nodes is a perfect matching; d = 5 on 6 nodes is the
+    # complete graph, the complement of the empty 0-regular draw
+    inst = generate(PlantedParams(n=10, m=4, d=1, eps=0.0, p_bg=0.0, seed=1))
     assert inst.planted_set.size == 4
-    bad = PlantedParams(n=12, m=6, d=5, eps=0.0, p_bg=0.0, seed=1)
-    assert generate(bad).measured.eps_measured == 0.0  # complete-graph shortcut
+    dense = PlantedParams(n=12, m=6, d=5, eps=0.0, p_bg=0.0, seed=1)
+    assert generate(dense).measured.eps_measured == 0.0
+
+
+def test_infeasible_regularity_raises():
+    # the sampler gives up only after 100 stalled pairings in a row, which no
+    # small instance hits, so every pairing is made to stall; d = 5 on 6
+    # nodes takes the complemented draw, and the error still names d
+    for d in (2, 5):
+        params = PlantedParams(n=12, m=6, d=d, eps=0.0, p_bg=0.0, seed=1)
+        with mock.patch.object(planted, "_sample_regular_pairs",
+                               return_value=None) as pairings:
+            with pytest.raises(ValueError, match=rf"^could not sample a {d}-regular "
+                                                 r"planted subgraph on 6 nodes "
+                                                 r"within 100 attempts$"):
+                generate(params)
+        assert pairings.call_count == 100
 
 
 def test_recovery_bounds_hold_on_small_instances():
