@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (BLUE, RED, Coloring, LabeledGraph, NodeSet, _int_ids,
-                    _read_columns, color_counts, density, induced_subgraph, is_fair)
+                    _read_columns, _stable_order, color_counts, density,
+                    induced_subgraph, is_fair)
 from .sweep import SolutionRecord, SolveStatus, _balance, _prefix_sums, make_record
 
 
@@ -57,25 +58,15 @@ def _interleave(a, b) -> np.ndarray:
     return out
 
 
-def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for int keys in 0..bound-1: a
-    radix sort over 16-bit digits, lowest first, since numpy sorts uint16
-    keys stably by counting."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    for shift in range(16, int(bound - 1).bit_length(), 16):
-        order = order[np.argsort((keys[order] >> shift).astype(np.uint16),
-                                 kind="stable")]
-    return order
-
-
 class FlowNetwork:
     """s-t network held in arrays. Input arc k, ``tail[k] -> head[k]`` with
     capacity ``cap[k]``, is arc 2k; its residual reverse, capacity 0, is arc
     2k + 1. The columns are read and checked by ``graph._read_columns``,
     the rule of ``LabeledGraph.from_arrays``. ``_tail``, ``_head`` (int64) and
     ``_cap`` (float64) are indexed by arc id. The CSR index groups the arc
-    ids by tail: node u owns ``_by_tail[_offsets[u]:_offsets[u + 1]]``, in
-    arc-id order."""
+    ids by tail with ``graph._stable_order``, the radix sort that
+    ``LabeledGraph.from_arrays`` also uses: node u owns
+    ``_by_tail[_offsets[u]:_offsets[u + 1]]``, in arc-id order."""
 
     def __init__(self, n_nodes: int, source: int, sink: int,
                  tail, head, cap):
@@ -280,7 +271,8 @@ def _densest_core(g: LabeledGraph) -> tuple[np.ndarray, LabeledGraph]:
                             if deg[u] < limit:
                                 alive[u] = False
                                 stack.append(u)
-        # an induced core keeps each node's arcs in CSR order
+        # the induced core filters the arcs, so each node's arcs stay in CSR
+        # order
         survivors = NodeSet(np.flatnonzero(alive))
         core, kept = induced_subgraph(core, survivors), kept[survivors.members]
         if (rho := 2.0 * core.total_weight / core.n) <= lower:

@@ -2,10 +2,12 @@
 
 Everything in this module is immutable after construction and safe to share
 between threads. Edges become a graph through one array canonicalizer,
-``LabeledGraph.from_arrays`` (self-loops dropped, endpoints stored with u < v
-and stably sorted, duplicates merged by summing weights in input order), so
-the same edge multiset always produces identical arrays regardless of input
-order; ``LabeledGraph.from_edges`` feeds it (u, v) / (u, v, w) items.
+``LabeledGraph.from_arrays`` (self-loops dropped, duplicates merged by
+summing weights in input order, both orientations of each edge sorted by
+(src, dst) into arcs, the one layout: ``LabeledGraph.__init__`` takes such
+arcs and sorts nothing), so the same edge multiset always produces
+identical arrays regardless of input order;
+``LabeledGraph.from_edges`` feeds it (u, v) / (u, v, w) items.
 """
 
 from __future__ import annotations
@@ -131,6 +133,17 @@ def _unique(values: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int keys in 0..bound-1: a
+    radix sort over 16-bit digits, lowest first, since numpy sorts uint16
+    keys stably by counting."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, int(bound - 1).bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16),
+                                 kind="stable")]
+    return order
+
+
 class NodeSet:
     """Strictly sorted, duplicate-free set of node ids.
 
@@ -197,15 +210,17 @@ class NodeSet:
 
 
 class LabeledGraph:
-    """Undirected weighted graph in canonical compressed-sparse form.
+    """Undirected weighted graph in canonical compressed-sparse form, built
+    from its arcs: ``__init__`` takes them symmetric, without self-loops and
+    sorted by (src, dst), and sorts nothing.
 
     Attributes
     ----------
     n : node count (ids are dense, 0..n-1)
-    edge_u, edge_v, edge_w : canonical edge list with edge_u < edge_v,
-        sorted lexicographically
-    arc_src, arc_dst, arc_w : both orientations of every edge, sorted,
-        with CSR-style ``indptr`` for per-node slices
+    arc_src, arc_dst, arc_w : both orientations of every edge, sorted by
+        (src, dst), with CSR-style ``indptr`` for per-node slices
+    edge_u, edge_v, edge_w : the arcs with src < dst, so the canonical edge
+        list with edge_u < edge_v, sorted lexicographically
     degrees : weighted degree per node
     d_max : maximum weighted degree
     n_self_loops_dropped, n_duplicates_merged : the canonicalizer's work
@@ -215,35 +230,21 @@ class LabeledGraph:
                  "indptr", "degrees", "d_max", "n_self_loops_dropped",
                  "n_duplicates_merged")
 
-    def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
-                 edge_w: np.ndarray, n_self_loops_dropped: int,
+    def __init__(self, n: int, arc_src: np.ndarray, arc_dst: np.ndarray,
+                 arc_w: np.ndarray, n_self_loops_dropped: int,
                  n_duplicates_merged: int):
         self.n = int(n)
-        self.edge_u = edge_u
-        self.edge_v = edge_v
-        self.edge_w = edge_w
-        for a in (edge_u, edge_v, edge_w):
-            a.flags.writeable = False
-        # canonical edges: node x's arcs are its reverse arcs (by edge_u),
-        # then its forward arcs; only the reverse ones need a (distinct-key) sort
-        n_rev = np.bincount(edge_v, minlength=self.n)
-        n_fwd = np.bincount(edge_u, minlength=self.n)
-        by_v = np.argsort(edge_v * self.n + edge_u)
-        k = np.arange(edge_u.size)
-        order = np.empty(2 * edge_u.size, dtype=np.intp)
-        order[k + np.cumsum(n_rev)[edge_u]] = k
-        order[k + (np.cumsum(n_fwd) - n_fwd)[edge_v[by_v]]] = edge_u.size + by_v
-        self.arc_src = np.concatenate([edge_u, edge_v])[order]
-        self.arc_dst = np.concatenate([edge_v, edge_u])[order]
-        self.arc_w = np.concatenate([edge_w, edge_w])[order]
-        for a in (self.arc_src, self.arc_dst, self.arc_w):
-            a.flags.writeable = False
-        self.indptr = np.concatenate([[0], np.cumsum(n_rev + n_fwd)])
-        self.indptr.flags.writeable = False
+        self.arc_src, self.arc_dst, self.arc_w = arc_src, arc_dst, arc_w
+        forward = np.flatnonzero(arc_src < arc_dst)  # indices gather faster than a mask
+        self.edge_u, self.edge_v = arc_src[forward], arc_dst[forward]
+        self.edge_w = arc_w[forward]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(arc_src, minlength=n))])
         # bincount of no arcs is int64 (also with weights), hence the cast
-        self.degrees = np.bincount(self.arc_src, weights=self.arc_w,
-                                   minlength=self.n).astype(np.float64)
-        self.degrees.flags.writeable = False
+        self.degrees = np.bincount(arc_src, weights=arc_w,
+                                   minlength=n).astype(np.float64)
+        for a in (arc_src, arc_dst, arc_w, self.edge_u, self.edge_v, self.edge_w,
+                  self.indptr, self.degrees):
+            a.flags.writeable = False
         self.d_max = float(self.degrees.max(initial=0.0))
         self.n_self_loops_dropped = int(n_self_loops_dropped)
         self.n_duplicates_merged = int(n_duplicates_merged)
@@ -277,8 +278,14 @@ class LabeledGraph:
         if not np.isfinite(2.0 * total):
             raise ValueError(f"edge weights sum to {total}; twice that is not "
                              f"a finite float")
-        return cls(n, *np.divmod(key[first], n), ew, u.size - key.size,
-                   key.size - ew.size)
+        eu, ev = np.divmod(key[first], n)
+        # edges stably sorted by v are the reverse arcs in (src, dst) order;
+        # ahead of the forward arcs, a timsort by src merges the two runs
+        by_v = _stable_order(ev, n)
+        src, dst = np.concatenate([ev[by_v], eu]), np.concatenate([eu[by_v], ev])
+        order = np.argsort(src, kind="stable")
+        return cls(n, src[order], dst[order], np.concatenate([ew[by_v], ew])[order],
+                   u.size - key.size, key.size - ew.size)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence]) -> "LabeledGraph":
@@ -362,10 +369,10 @@ def is_fair(s: NodeSet, c: Coloring) -> bool:
 
 def induced_subgraph(g: LabeledGraph, s: NodeSet) -> LabeledGraph:
     """Subgraph induced by ``s``, densely relabeled in member order: node
-    i of the result is ``s.members[i]``."""
+    i of the result is ``s.members[i]``. Its arcs are ``g``'s arcs inside
+    ``s``; relabeling in member order keeps them sorted, so none is sorted."""
     mask = s.mask(g.n)
     new_id = np.cumsum(mask) - 1
-    inside = mask[g.edge_u] & mask[g.edge_v]
-    # relabelling in member order keeps the edge list canonical and sorted
-    return LabeledGraph(s.size, new_id[g.edge_u[inside]], new_id[g.edge_v[inside]],
-                        g.edge_w[inside], 0, 0)
+    inside = np.flatnonzero(mask[g.arc_src] & mask[g.arc_dst])
+    return LabeledGraph(s.size, new_id[g.arc_src[inside]], new_id[g.arc_dst[inside]],
+                        g.arc_w[inside], 0, 0)

@@ -1,6 +1,6 @@
 """Smoke test of ``tools/exact_corpus.py``, the differential manifest of the
-exact solver: equal runs give equal manifests, and a changed density bit
-shows."""
+graph layer and the exact solver: equal runs give equal manifests, graph
+hashes included, and a changed density bit shows."""
 
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ def test_equal_runs_give_equal_manifests_and_a_flipped_density_bit_shows():
     graphs = first["graphs"]
     assert [r["kind"] for r in graphs] == list(corpus.KINDS) * 2
     assert all(1 <= r["n"] <= 59 and 0 <= r["draws"] <= 4 * r["n"]
-               and r["solves"] >= 1 for r in graphs)
+               and r["solves"] >= 1 and len(r["graph_sha256"]) == 64
+               for r in graphs)
 
     solve = corpus.exact_densest_subgraph
 

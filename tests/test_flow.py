@@ -12,8 +12,8 @@ from fairdsg import flow
 from fairdsg.flow import (FlowNetwork, _densest_core, _padding, _peel_lower_bound,
                           exact_densest_subgraph, max_flow, two_dfsg,
                           two_dfsg_candidates)
-from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, balance, density,
-                           is_fair)
+from fairdsg.graph import (Coloring, LabeledGraph, NodeSet, _stable_order,
+                           balance, density, is_fair)
 from fairdsg.oracle import brute_force_densest
 from fairdsg.planted import PlantedParams, generate
 from fairdsg.sweep import SolveStatus
@@ -239,7 +239,7 @@ def test_stable_order_is_the_stable_argsort(case):
     # keys of up to three 16-bit digits, with repeats
     bound, keys = case
     keys = np.array(keys + keys[: len(keys) // 2], dtype=np.int64)
-    assert (flow._stable_order(keys, bound).tolist()
+    assert (_stable_order(keys, bound).tolist()
             == np.argsort(keys, kind="stable").tolist())
 
 

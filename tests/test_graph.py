@@ -84,25 +84,6 @@ def test_density_matches_induced_subgraph():
         assert 0.0 <= density(g, s) <= g.d_max + 1e-12
 
 
-def test_induced_subgraph_matches_a_build_from_its_edges():
-    # reference: keep the edges with both ends in s, relabel them by rank
-    # in s, and canonicalize them through from_edges
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 30))
-        g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)), weighted=True)
-        s = NodeSet(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-        rank = {int(u): i for i, u in enumerate(s)}
-        edges = [(rank[u], rank[v], w) for u, v, w in g.edges()
-                 if u in rank and v in rank]
-        sub = induced_subgraph(g, s)
-        ref = LabeledGraph.from_edges(s.size, edges)
-        assert same_structure(sub, ref)
-        assert np.array_equal(sub.arc_src, ref.arc_src)
-        assert np.array_equal(sub.degrees, ref.degrees)
-        assert sub.n_self_loops_dropped == 0 and sub.n_duplicates_merged == 0
-
-
 def test_construction_canonical_under_permutation():
     rng = np.random.default_rng(3)
     edges = [(0, 1, 2.0), (1, 2, 1.0), (0, 3, 0.5), (2, 3, 1.5)]
@@ -161,22 +142,55 @@ def test_canonicalization_matches_the_dict_reference(case):
     _assert_matches_reference(LabeledGraph.from_edges(n, edges), n, edges)
 
 
-def _assert_arcs_match_the_argsort_build(g):
-    got = (g.arc_src, g.arc_dst, g.arc_w, g.indptr, g.degrees)
-    for a, b in zip(got, argsort_arcs(g)):
+GRAPH_ARRAYS = ("edge_u", "edge_v", "edge_w", "arc_src", "arc_dst", "arc_w",
+                "indptr", "degrees")
+
+
+def _assert_same_arrays(got, want):
+    for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_arcs_match_the_argsort_build(g):
+    _assert_same_arrays((g.arc_src, g.arc_dst, g.arc_w, g.indptr, g.degrees),
+                        argsort_arcs(g))
+
+
+def _assert_induced_matches_a_build_from_its_edges(g, s):
+    # reference: keep the edges with both ends in s, relabel them by rank
+    # in s, and canonicalize them through from_edges
+    rank = {int(u): i for i, u in enumerate(s)}
+    ref = LabeledGraph.from_edges(s.size, [(rank[u], rank[v], w) for u, v, w in g.edges()
+                                           if u in rank and v in rank])
+    sub = induced_subgraph(g, s)
+    assert sub.n == ref.n
+    _assert_same_arrays([getattr(sub, a) for a in GRAPH_ARRAYS],
+                        [getattr(ref, a) for a in GRAPH_ARRAYS])
+    assert sub.n_self_loops_dropped == 0 and sub.n_duplicates_merged == 0
+    return sub
 
 
 @settings(max_examples=200, deadline=None)
 @given(multigraphs(), st.randoms(use_true_random=False))
 def test_arc_arrays_match_the_argsort_build(case, pyrandom):
     # weighted, with merged parallel edges, isolated nodes, and n = 0 and 1;
-    # an induced subgraph takes the other constructor path
+    # an induced subgraph takes the other constructor path, and its edges
+    # are checked against a build from the parent's edges
     n, edges = case
     g = LabeledGraph.from_edges(n, edges)
-    sub = induced_subgraph(g, NodeSet(pyrandom.sample(range(n), pyrandom.randint(0, n))))
+    s = NodeSet(pyrandom.sample(range(n), pyrandom.randint(0, n)))
+    sub = _assert_induced_matches_a_build_from_its_edges(g, s)
     for h in (g, sub):
         _assert_arcs_match_the_argsort_build(h)
+
+
+def test_induced_subgraph_matches_a_build_from_its_edges():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        g = random_graph(rng, n, float(rng.uniform(0.1, 0.6)), weighted=True)
+        s = NodeSet(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        _assert_induced_matches_a_build_from_its_edges(g, s)
 
 
 def test_arc_arrays_match_the_argsort_build_on_larger_graphs():
@@ -185,7 +199,7 @@ def test_arc_arrays_match_the_argsort_build_on_larger_graphs():
     for n, p in ((120, 0.3), (400, 0.02)):
         g = random_graph(rng, n, p, weighted=True)
         _assert_arcs_match_the_argsort_build(g)
-        sub = induced_subgraph(g, NodeSet(range(0, n, 3)))
+        sub = _assert_induced_matches_a_build_from_its_edges(g, NodeSet(range(0, n, 3)))
         _assert_arcs_match_the_argsort_build(sub)
 
 

@@ -2,11 +2,13 @@
 
 Solves one fixed, seeded corpus of small graphs with
 ``fairdsg.flow.exact_densest_subgraph`` and writes ``DIR/exact_corpus.json``:
-for each graph its draw (index, weight kind, node count, edge draws) and the
+for each graph its draw (index, weight kind, node count, edge draws), the
+SHA-256 of its ``LabeledGraph`` arrays (see ``GRAPH_ARRAYS``) and the
 answer, as the SHA-256 of the node set's comma-joined ids, the density as
-``float.hex`` and the number of max-flow solves. A change to the flow solver
-that keeps every node set, every density bit and every solve count of its
-parent leaves the file byte-identical.
+``float.hex`` and the number of max-flow solves. A change to the graph layer
+or the flow solver that keeps every array byte, every node set, every
+density bit and every solve count of its parent leaves the file
+byte-identical.
 
 fairdsg is imported from ``PYTHONPATH``, so the tool runs any tree's
 ``src/``::
@@ -41,6 +43,8 @@ SEED = 2027
 COUNT = 3000
 KINDS = ("unit", "012", "uniform", "wide", "ties")
 TIES = np.array([1 / 3, 2 / 3, 1.0, 0.1])
+GRAPH_ARRAYS = ("edge_u", "edge_v", "edge_w", "arc_src", "arc_dst", "arc_w",
+                "indptr", "degrees")
 
 
 def draw_graph(index: int) -> tuple[dict, LabeledGraph]:
@@ -67,9 +71,13 @@ def draw_graph(index: int) -> tuple[dict, LabeledGraph]:
 def solve(index: int) -> dict:
     """The manifest entry of graph ``index``."""
     record, g = draw_graph(index)
+    graph = hashlib.sha256()
+    for name in GRAPH_ARRAYS:
+        graph.update(getattr(g, name).tobytes())
     res = exact_densest_subgraph(g)
     ids = ",".join(map(str, res.node_set.members.tolist()))
-    record.update(nodes_sha256=hashlib.sha256(ids.encode()).hexdigest(),
+    record.update(graph_sha256=graph.hexdigest(),
+                  nodes_sha256=hashlib.sha256(ids.encode()).hexdigest(),
                   size=res.node_set.size, density=float(res.density).hex(),
                   solves=res.iterations)
     return record
