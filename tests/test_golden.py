@@ -1,10 +1,15 @@
-"""Smoke test of ``tools/golden.py``, the byte-identity manifest of the CLI:
-equal runs give equal manifests, and a changed output byte shows."""
+"""Smoke tests of ``tools/golden.py``, the byte-identity manifest of the CLI
+and of the exact solver: equal runs give equal manifests, graph hashes
+included, and a changed output byte or density bit shows."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 from fairdsg.graph import Coloring, LabeledGraph
 from fairdsg.ingest import save_edgelist
@@ -42,3 +47,25 @@ def test_equal_runs_give_equal_manifests_and_a_flipped_byte_shows(tmp_path):
     out.write_bytes(bytes(data))
     flipped = golden.digests(str(tmp_path / "a"))
     assert {k for k in flipped if flipped[k] != first["files"][k]} == {"fss.csv"}
+
+
+def test_equal_runs_give_equal_manifests_and_a_flipped_density_bit_shows():
+    golden = _load_golden()
+    first, second = golden.exact_corpus(10), golden.exact_corpus(10)
+    assert first == second
+    graphs = first["graphs"]
+    assert [r["kind"] for r in graphs] == list(golden.KINDS) * 2
+    assert all(1 <= r["n"] <= 59 and 0 <= r["draws"] <= 4 * r["n"]
+               and r["solves"] >= 1 and len(r["graph_sha256"]) == 64
+               for r in graphs)
+
+    solve = golden.exact_densest_subgraph
+
+    def nudged(g):
+        res = solve(g)
+        return dataclasses.replace(res, density=np.nextafter(res.density, np.inf))
+
+    with mock.patch.object(golden, "exact_densest_subgraph", nudged):
+        changed = golden.exact_corpus(10)["graphs"]
+    for before, after in zip(graphs, changed):
+        assert {k for k in before if before[k] != after[k]} == {"density"}
