@@ -1,12 +1,13 @@
 """Command-line surface: ingestion, algorithm runs, recovery reports, fronts.
 
 Exit codes: 0 success, 1 usage error, 2 data error. Each CSV and edge list
-starts with a manifest comment recording the invocation, except that a
-planted --save-instances .el starts with a comment of the instance's
-parameters and its .nodes file holds bare ids. All randomness flows from
---seed (default 0) and nothing else, so identical invocations produce
-byte-identical files. Wall-clock timings are excluded from output unless
---timings wall is given, because they would break that determinism contract.
+starts with a manifest comment recording the invocation, except that a planted
+--save-instances .el starts with a comment of the instance's parameters and
+its .nodes file holds bare ids. planted neither takes nor writes eps: its
+subgraph is exactly d-regular. All randomness flows from --seed (default 0)
+and nothing else, so identical invocations produce byte-identical files.
+Wall-clock timings are excluded from output unless --timings wall is given,
+because they would break that determinism contract.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ def _parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="recorded only: the planted subgraph is exactly d-regular")
     p.add_argument("--p-bg", type=float, default=0.0)
     p.add_argument("--seeds", type=int, default=1,
                    help="number of instances (base seed, base seed + 1, ...)")
@@ -235,7 +234,7 @@ def _planted_row(args, base_seed: int) -> dict[str, object]:
     attempts = 100 if args.require_hypotheses else 1
     for attempt in range(attempts):
         seed_used = base_seed + attempt * _RETRY_STRIDE
-        params = PlantedParams(n=args.n, m=args.m, d=args.d, eps=args.eps,
+        params = PlantedParams(n=args.n, m=args.m, d=args.d, eps=0.0,
                                p_bg=args.p_bg, seed=seed_used)
         instance = generate(params)
         if instance.measured.hypotheses_hold or not args.require_hypotheses:
@@ -247,8 +246,7 @@ def _planted_row(args, base_seed: int) -> dict[str, object]:
         stem = os.path.join(args.save_instances, f"planted_{seed_used}")
         save_edgelist(instance.graph, instance.coloring, f"{stem}.el",
                       comments=[f"planted instance seed={seed_used} n={args.n} "
-                                f"m={args.m} d={args.d} eps={args.eps!r} "
-                                f"p_bg={args.p_bg!r}"])
+                                f"m={args.m} d={args.d} p_bg={args.p_bg!r}"])
         with open(f"{stem}.nodes", "w", encoding="utf-8") as handle:
             for node in instance.planted_set:
                 handle.write(f"{node}\n")
@@ -256,7 +254,7 @@ def _planted_row(args, base_seed: int) -> dict[str, object]:
     meas = instance.measured
     return {
         "seed": base_seed, "seed_used": seed_used, "n": args.n, "m": args.m,
-        "d": args.d, "eps": args.eps, "p_bg": args.p_bg,
+        "d": args.d, "p_bg": args.p_bg,
         "hypotheses_hold": meas.hypotheses_hold, "vacuous": report.vacuous,
         "lambda1": meas.lambda1, "lambda2": meas.lambda2,
         "lambda_n": meas.lambda_n, "lambda": meas.lam, "d_max": meas.d_max,

@@ -5,7 +5,7 @@ colored half red and half blue, inside a sparse random background, then
 measures on the realized graph everything the recovery guarantee needs:
 
   * eps: largest relative deviation of a planted internal degree from d,
-    a self-check that reads 0 (the parameter eps changes no draw),
+    a self-check that reads 0 (``PlantedParams.eps`` is unread),
   * theta: relative gap between d and the global maximum degree,
   * the extremal adjacency eigenvalues and lam = max(lambda2, |lambda_n|).
 
@@ -37,6 +37,7 @@ _MAX_RETRIES = 100
 
 @dataclass(frozen=True)
 class PlantedParams:
+    """``eps`` is validated, unread, and kept for the benchmark's set-up."""
     n: int
     m: int
     d: int
@@ -158,7 +159,7 @@ def generate(params: PlantedParams, *, eig_tol: float = TOL) -> PlantedInstance:
     Construction happens on working ids (planted nodes 0..m-1), with
     background edges drawn independently per non-internal pair, then a random
     permutation relabels everything. Generation is deterministic per seed.
-    ``params.eps`` is validated and recorded, but it changes no draw.
+    ``params.eps`` is unread: it changes no draw.
     """
     n, m, d = params.n, params.m, params.d
     rng = np.random.default_rng(params.seed)

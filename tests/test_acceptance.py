@@ -298,7 +298,7 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
                           algorithm, "--seed", "3", "--out", str(out)], [out]))
     planted_out = tmp_path / "planted.csv"
     commands.append((["planted", "--n", "60", "--m", "10", "--d", "9",
-                      "--eps", "0", "--p-bg", "0.02", "--seeds", "2",
+                      "--p-bg", "0.02", "--seeds", "2",
                       "--seed", "5", "--out", str(planted_out)], [planted_out]))
     pareto_out = tmp_path / "pareto.csv"
     commands.append((["pareto", "--input", str(graph_path), "--algorithms",

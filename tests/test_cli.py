@@ -234,10 +234,12 @@ def test_run_rejects_nan_or_negative_delta(small_graph_file, tmp_path, capsys):
     ["pareto", "--tol", "1e-6"],
     ["planted", "--n", "40", "--m", "8", "--d", "7", "--tol", "1e-6"],
     ["planted", "--n", "40", "--m", "8", "--d", "7", "--delta-policy", "bound"],
-], ids=["run-tol", "pareto-tol", "planted-tol", "planted-delta-policy"])
+    ["planted", "--n", "40", "--m", "8", "--d", "7", "--eps", "0.1"],
+], ids=["run-tol", "pareto-tol", "planted-tol", "planted-delta-policy",
+        "planted-eps"])
 def test_removed_options_are_usage_errors(small_graph_file, tmp_path, capsys, argv):
-    # the eigensolver tolerance is spectral.TOL and planted's slack is
-    # always 16 (eps + theta)
+    # the eigensolver tolerance is spectral.TOL, planted's slack is always
+    # 16 (eps + theta), and its planted subgraph is exactly d-regular
     command, rest = argv[0], argv[1:]
     if command != "planted":
         rest = ["--input", small_graph_file, *rest]
@@ -453,11 +455,16 @@ def test_ingest_amazon_gives_every_pair_its_own_file(tmp_path):
 
 def test_planted_command_and_jobs_equivalence(tmp_path):
     out1 = tmp_path / "p1.csv"
-    base = ["planted", "--n", "60", "--m", "10", "--d", "9", "--eps", "0",
+    base = ["planted", "--n", "60", "--m", "10", "--d", "9",
             "--p-bg", "0.02", "--seeds", "3", "--seed", "5"]
     assert main(base + ["--out", str(out1)]) == 0
     _, rows = _rows(str(out1))
     assert len(rows) == 3
+    assert list(rows[0]) == [
+        "seed", "seed_used", "n", "m", "d", "p_bg", "hypotheses_hold", "vacuous",
+        "lambda1", "lambda2", "lambda_n", "lambda", "d_max", "theta",
+        "eps_measured", "delta", "sol_size", "sol_density", "error",
+        "error_bound", "error_ok", "chi_dist_sq", "chi_bound", "chi_ok"]
     assert {row["seed"] for row in rows} == {"5", "6", "7"}
     for row in rows:
         assert set(row) >= {"error", "error_bound", "chi_dist_sq", "chi_bound"}
@@ -469,7 +476,7 @@ def test_planted_command_and_jobs_equivalence(tmp_path):
 
 
 def test_require_hypotheses_redraws_until_they_hold(tmp_path):
-    base = ["planted", "--n", "150", "--m", "20", "--d", "15", "--eps", "0.1",
+    base = ["planted", "--n", "150", "--m", "20", "--d", "15",
             "--p-bg", "0.002", "--seed", "3", "--seeds", "2"]
     out = tmp_path / "p.csv"
     assert main(base + ["--out", str(out)]) == 0
@@ -625,6 +632,8 @@ def test_planted_save_instances(tmp_path):
     assert main(["planted", "--n", "40", "--m", "8", "--d", "7", "--seeds", "2",
                  "--seed", "9", "--save-instances", str(inst_dir),
                  "--out", str(out)]) == 0
+    with open(inst_dir / "planted_9.el", encoding="utf-8") as handle:
+        assert handle.readline() == "# planted instance seed=9 n=40 m=8 d=7 p_bg=0.0\n"
     for seed in (9, 10):
         g, c = load_edgelist(str(inst_dir / f"planted_{seed}.el"))
         assert g.n == 40
@@ -1008,7 +1017,6 @@ def _planted_argv(draw):
     m = 2 * draw(st.integers(1, n // 2))
     return ["planted", "--n", str(n), "--m", str(m),
             "--d", str(draw(st.integers(0, m - 1))),
-            "--eps", str(draw(st.sampled_from([0.0, 0.25, 0.5]))),
             "--p-bg", str(draw(st.sampled_from([0.0, 0.2, 1.0]))),
             "--seeds", str(draw(st.integers(1, 2))),
             "--seed", str(draw(st.integers(0, 5))),

@@ -33,8 +33,8 @@ The commands:
 * ``ingest-polbooks`` on a seeded 24-book GML file that the tool writes,
   of which 16 books are kept, then ``run`` with all seven algorithms,
   oracle included, and ``pareto`` of the same five on its edge list;
-* ``planted --save-instances``: fss on (n, m, d, eps, p_bg) = (2000, 400,
-  64, 0.05, 0.001) and ss on (300, 40, 30, 0.1, 0.01), 3 seeds each, at
+* ``planted --save-instances``: fss on (n, m, d, p_bg) = (2000, 400, 64,
+  0.001) and ss on (300, 40, 30, 0.01), 3 seeds each, at
   ``--jobs 1`` and ``--jobs 2``, plus one ``--require-hypotheses`` case
   whose seeds are re-drawn;
 * for the synthetic product corpora of seeds 1-3 (``perfbench/corpus.py``):
@@ -74,10 +74,10 @@ from fairdsg.graph import LabeledGraph
 CORPUS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
 MANIFEST = "golden.json"
 PARETO_ALGORITHMS = "ss,fss,ps,fps,2dfsg"
-# (algorithm, n, m, d, eps, p_bg, extra flags) of the planted reports
-PLANTED = (("fss", 2000, 400, 64, 0.05, 0.001, ()),
-           ("ss", 300, 40, 30, 0.1, 0.01, ()),
-           ("fss", 150, 20, 15, 0.1, 0.002, ("--require-hypotheses",)))
+# (algorithm, n, m, d, p_bg, extra flags) of the planted reports
+PLANTED = (("fss", 2000, 400, 64, 0.001, ()),
+           ("ss", 300, 40, 30, 0.01, ()),
+           ("fss", 150, 20, 15, 0.002, ("--require-hypotheses",)))
 SEED = 2027
 COUNT = 3000
 KINDS = ("unit", "012", "uniform", "wide", "ties")
@@ -185,11 +185,11 @@ def commands() -> Iterator[list[str]]:
                "--delta", "0.5", "--seed", "1",
                "--out", f"weighted60_{algorithm}_delta.csv"]
 
-    for k, (algorithm, n, m, d, eps, p_bg, extra) in enumerate(PLANTED):
+    for k, (algorithm, n, m, d, p_bg, extra) in enumerate(PLANTED):
         for jobs in ("1", "2"):
             stem = f"planted{k}_jobs{jobs}"
             yield ["planted", "--n", str(n), "--m", str(m), "--d", str(d),
-                   "--eps", str(eps), "--p-bg", str(p_bg), "--algorithm", algorithm,
+                   "--p-bg", str(p_bg), "--algorithm", algorithm,
                    "--seed", "1", "--seeds", "3", "--jobs", jobs, *extra,
                    "--save-instances", stem, "--out", f"{stem}.csv"]
 
