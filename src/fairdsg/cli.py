@@ -24,8 +24,8 @@ from dataclasses import asdict, fields
 from . import __version__
 from .flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
 from .ingest import (LINE_BREAK, IngestError, build_product_graph,
-                     category_pair_subgraphs, load_edgelist, parse_amazon_jsonl,
-                     parse_gml, polbooks_graph, save_edgelist)
+                     category_pair_subgraphs, parse_amazon_jsonl, parse_gml,
+                     polbooks_graph, read_edgelist, save_edgelist)
 from .oracle import ORACLE_MAX_N, brute_force_densest
 from .planted import RECOVERY_ALGORITHMS, PlantedParams, generate, run_recovery
 from .report import (RunManifest, SummaryRow, format_float, normalized_density,
@@ -185,7 +185,7 @@ def _cmd_ingest_amazon(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    g, c = load_edgelist(args.input)
+    g, c = read_edgelist(args.input)
     name = args.algorithm
     if name == "oracle" and g.n > ORACLE_MAX_N:
         raise ValueError(f"oracle supports at most {ORACLE_MAX_N} nodes, got {g.n}")
@@ -317,7 +317,7 @@ def _cmd_pareto(args) -> int:
                              f"choose from {', '.join(valid)}")
         if name in algorithms[:i]:
             raise ValueError(f"--algorithms names {name!r} twice")
-    g, c = load_edgelist(args.input)
+    g, c = read_edgelist(args.input)
     optimum = exact_densest_subgraph(g).node_set if "2dfsg" in algorithms else None
     rows = []
     for name in algorithms:

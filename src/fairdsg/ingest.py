@@ -8,9 +8,13 @@ Three external formats live here:
   header line ``n n_red n_blue``, one line of R/B color characters, then
   one ``u v w`` line per edge with u < v, sorted. Serialization is
   canonical, so parse -> serialize -> parse round-trips bit-identically.
-  Python's ``int`` / ``float`` define the accepted literals; numpy's C
-  reader parses the common case (see ``read_edgelist``). Graphs are built
-  from edge arrays by ``LabeledGraph.from_arrays``.
+  Python's ``int`` / ``float`` define the accepted literals. A file is read
+  twice, once as bytes for its leading lines and once by numpy's C reader
+  for its edge lines, when those are ASCII and the file holds no line break
+  numpy would miss; any other file, or a body numpy rejects, is parsed line
+  by line (see ``read_edgelist``). A file rewritten between the two reads
+  is outside the contract. Graphs are built from edge arrays by
+  ``LabeledGraph.from_arrays``.
 
 GML grammar. Each line is cut into tokens: ``#`` outside a string comments
 out the rest of the line, a string runs from ``"`` to the next ``"`` on the
@@ -379,16 +383,32 @@ def write_edgelist(g: LabeledGraph, c: Coloring, out: IO[str],
             g.edge_w[block].tolist())]))
 
 
-def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
-    """Parse the edge-list format; errors name the first bad line.
+def read_edgelist(path: str) -> tuple[LabeledGraph, Coloring]:
+    """Parse the edge-list file ``path``; errors name the first bad line.
 
+    The file is read twice: once as bytes, whose leading lines give the
+    comments, the header and the color line, and once by numpy's C reader,
+    which parses the edge lines in chunks. numpy reads them only when every
+    byte after the color line is ASCII and the file holds no line break that
+    ``str.splitlines`` honours and numpy does not (``\\x0b \\x0c \\x1c
+    \\x1d \\x1e``, U+0085, U+2028, U+2029). Every other file, and every
+    body numpy rejects with an error or any warning, is parsed line by line
+    with ``str.splitlines``, ``str.split``, ``int`` and ``float``. So
     Python's ``int`` and ``float`` define which id and weight literals are
-    accepted. numpy's C reader takes the common case in one call: on ASCII
-    lines it accepts a subset of those literals and gives the same values.
-    A body it rejects, with an error or any warning, is parsed line by line
-    with ``str.split``, ``int`` and ``float``; ids must fit in int64.
+    accepted: numpy accepts a subset of them on ASCII lines and gives the
+    same values. Ids must fit in int64. The file must be UTF-8, and an
+    undecodable byte anywhere in it is the error, before any other. A file
+    rewritten between the two reads is outside this contract.
     """
-    lines = source.read().splitlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = _head_end(data)
+    head = data[:start].decode("utf-8")
+    plain = (not _NUMPY_BLIND.search(head) and data[start:].isascii()
+             and all(data.find(c, start) < 0 for c in b"\x0b\x0c\x1c\x1d\x1e"))
+    if not plain:  # an undecodable byte after the head is the first error
+        data.decode("utf-8")
+    lines = head.splitlines()
     at = 0
     while at < len(lines) and lines[at].startswith("#"):
         at += 1
@@ -415,39 +435,62 @@ def read_edgelist(source: IO[str]) -> tuple[LabeledGraph, Coloring]:
     if (coloring.n_red, coloring.n_blue) != (n_red, n_blue):
         raise IngestError("edge list: header color counts disagree with the "
                           "color line")
-    body = lines[at + 2:]
-    u, v, w = _edge_columns(body, at + 3)
-    del lines, body  # free the text before the graph is built
+    columns = _numpy_columns(path, len(lines)) if plain else None
+    if columns is None:
+        columns = _edge_columns(data[start:].decode("utf-8").splitlines(),
+                                len(lines) + 1)
+    del data  # free the file before the graph is built
     try:
-        graph = LabeledGraph.from_arrays(n, u, v, w)
+        graph = LabeledGraph.from_arrays(n, *columns)
     except ValueError as exc:
         raise IngestError(f"edge list: {exc}") from None
     return graph, coloring
 
 
-# the line boundaries of str.splitlines, on which read_edgelist splits
+# the line boundaries of str.splitlines, which an edge-list comment cannot hold
 LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# the same boundaries in UTF-8
+_BYTE_BREAK = re.compile(rb"\r\n|[\n\r\x0b\x0c\x1c-\x1e]|\xc2\x85|\xe2\x80[\xa8\xa9]")
+# the boundaries of str.splitlines that numpy's reader does not break at
+_NUMPY_BLIND = re.compile("[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 _INT64 = np.iinfo(np.int64)
 
 
-def _edge_columns(body: list[str], first: int,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """int64 ids and float weights of the 'u v w' lines ``body``, whose
-    first line is line ``first`` of the file; blank lines are skipped.
+def _head_end(data: bytes) -> int:
+    """Offset in ``data`` just past its color line, the line after the first
+    line not starting with ``#``, or ``len(data)`` when the data ends first.
+    On UTF-8 the lines are those of ``str.splitlines``."""
+    pos, seen = 0, 0
+    while pos < len(data) and seen < 2:
+        seen += not data.startswith(b"#", pos)
+        brk = _BYTE_BREAK.search(data, pos)
+        pos = brk.end() if brk else len(data)
+    return pos
+
+
+def _numpy_columns(path: str, skip: int):
+    """int64 ids and float weights of the edge lines of ``path``, after its
+    first ``skip`` lines, by numpy's C reader; None when it raises or warns.
 
     numpy's integer parser hands each character to C's ``isdigit``, which
     is undefined beyond ASCII: numpy 2.4 reads some such characters as
     digits and crashes on others, so only ASCII bodies reach it.
     """
-    if all(map(str.isascii, body)):
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(body, dtype=_EDGE_ROW, comments=None, ndmin=1)
-            return rows["u"], rows["v"], rows["w"]
-        except (ValueError, Warning):
-            pass
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=_EDGE_ROW, comments=None, ndmin=1,
+                              skiprows=skip, encoding="utf-8")
+    except (ValueError, Warning):
+        return None
+    return rows["u"], rows["v"], rows["w"]
+
+
+def _edge_columns(body: list[str], first: int,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 ids and float weights of the 'u v w' lines ``body``, whose
+    first line is line ``first`` of the file; blank lines are skipped."""
     u, v, w = [], [], []
     for lineno, line in enumerate(body, start=first):
         tokens = line.split()
@@ -467,11 +510,6 @@ def _edge_columns(body: list[str], first: int,
         w.append(x)
     return (np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
             np.array(w, dtype=np.float64))
-
-
-def load_edgelist(path: str) -> tuple[LabeledGraph, Coloring]:
-    with open(path, encoding="utf-8") as handle:
-        return read_edgelist(handle)
 
 
 def save_edgelist(g: LabeledGraph, c: Coloring, path: str,

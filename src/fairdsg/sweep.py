@@ -107,13 +107,46 @@ _SORT_KEYS = {Ordering.NON_INCREASING: np.negative, Ordering.NON_DECREASING: np.
               Ordering.ABS_NON_DECREASING: np.abs}
 
 
+def _require_ordering(ordering) -> None:
+    if not isinstance(ordering, Ordering):
+        raise ValueError(f"unknown ordering {ordering!r}; expected an Ordering")
+
+
 def ordering_permutation(v: np.ndarray, ordering: Ordering) -> np.ndarray:
     """Node permutation realizing one ordering; ties broken by ascending id.
     Anything but an ``Ordering`` raises a ValueError that names it."""
-    if not isinstance(ordering, Ordering):
-        raise ValueError(f"unknown ordering {ordering!r}; expected an Ordering")
+    _require_ordering(ordering)
     return np.argsort(_SORT_KEYS[ordering](np.asarray(v, dtype=np.float64)),
                       kind="stable")
+
+
+def _descending(perm: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The stable non-increasing order of ``key`` from its stable
+    non-decreasing order ``perm``: the tie groups in reverse order, ids
+    ascending within each group."""
+    rev = perm[::-1]
+    k = key[rev]
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    ends = np.append(starts[1:], k.size)
+    # position j of a tie group [s, e) of rev takes the id at s + e - 1 - j
+    return rev[np.repeat(starts + ends - 1, ends - starts) - np.arange(k.size)]
+
+
+def _permutations(v: np.ndarray, orderings: Sequence[Ordering]) -> list[np.ndarray]:
+    """``ordering_permutation(v, o)`` for each o of ``orderings``, from one
+    stable sort of v and one of |v|, each made only when asked for."""
+    for ordering in orderings:
+        _require_ordering(ordering)
+    perms = {}
+    for absolute, up, down in (
+            (False, Ordering.NON_DECREASING, Ordering.NON_INCREASING),
+            (True, Ordering.ABS_NON_DECREASING, Ordering.ABS_NON_INCREASING)):
+        if up in orderings or down in orderings:
+            key = np.abs(v) if absolute else v
+            perms[up] = np.argsort(key, kind="stable")
+            if down in orderings:
+                perms[down] = _descending(perms[up], key)
+    return [perms[ordering] for ordering in orderings]
 
 
 def _prefix_sums(g: LabeledGraph, c: Coloring, step: np.ndarray, n_steps: int):
@@ -153,8 +186,7 @@ def _scan(g: LabeledGraph, c: Coloring, v: np.ndarray,
     size = np.empty((len(orderings), n_steps), dtype=np.int64)
     w = np.empty((len(orderings), n_steps))
     red = np.empty((len(orderings), n_steps), dtype=np.int64)
-    for oi, ordering in enumerate(orderings):
-        perm = ordering_permutation(v, ordering)
+    for oi, perm in enumerate(_permutations(v, orderings)):
         if paired:
             in_red = is_red[perm]
             steps[oi, perm] = np.where(in_red, np.cumsum(in_red), np.cumsum(~in_red)) - 1

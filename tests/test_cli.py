@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fairdsg
 from fairdsg.cli import RUN_ALGORITHMS, main
 from fairdsg.graph import Coloring, LabeledGraph
-from fairdsg.ingest import load_edgelist, save_edgelist
+from fairdsg.ingest import read_edgelist, save_edgelist
 from fairdsg.planted import RECOVERY_ALGORITHMS
 from fairdsg.report import RunManifest, format_float, read_csv
 from fairdsg.sweep import SPECTRAL_ALGORITHMS, SolveStatus
@@ -263,7 +263,7 @@ def test_negative_seed_rejected_before_any_input_is_read(
     def no_read(*args, **kwargs):
         raise AssertionError("an input was read or generated")
 
-    monkeypatch.setattr(fairdsg.cli, "load_edgelist", no_read)
+    monkeypatch.setattr(fairdsg.cli, "read_edgelist", no_read)
     monkeypatch.setattr(fairdsg.cli, "generate", no_read)
     command, rest = argv[0], argv[1:]
     if command != "planted":
@@ -360,7 +360,7 @@ def test_ingest_polbooks_command(tmp_path, capsys):
     assert main(["ingest-polbooks", "--input", str(gml), "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "kept_nodes=4" in captured.out
-    g, c = load_edgelist(str(out))
+    g, c = read_edgelist(str(out))
     assert g.n == 4
     assert (c.n_red, c.n_blue) == (2, 2)
     assert g.num_edges == 4  # the one edge through the neutral node is gone
@@ -376,7 +376,7 @@ def test_ingest_amazon_command(tmp_path):
     assert manifest.command == "ingest-amazon"
     assert [row["pair"] for row in index] == ["Books__Music"]
     row = index[0]
-    g, c = load_edgelist(str(out_dir / row["file"]))
+    g, c = read_edgelist(str(out_dir / row["file"]))
     assert g.n == int(row["n"])
     assert c.n_red == int(row["n_red"])
 
@@ -427,7 +427,7 @@ def test_ingest_amazon_keeps_categories_that_differ_by_a_trailing_nul(
     _, index = _rows(str(out_dir / "index.csv"))
     assert [row["pair"] for row in index] == ["Books__Toys", "Toys__Toys\x00"]
     for row in index:
-        g, c = load_edgelist(str(out_dir / row["file"]))
+        g, c = read_edgelist(str(out_dir / row["file"]))
         assert (g.n, c.n_red, c.n_blue, g.num_edges) == (4, 2, 2, 4)
 
 
@@ -635,7 +635,7 @@ def test_planted_save_instances(tmp_path):
     with open(inst_dir / "planted_9.el", encoding="utf-8") as handle:
         assert handle.readline() == "# planted instance seed=9 n=40 m=8 d=7 p_bg=0.0\n"
     for seed in (9, 10):
-        g, c = load_edgelist(str(inst_dir / f"planted_{seed}.el"))
+        g, c = read_edgelist(str(inst_dir / f"planted_{seed}.el"))
         assert g.n == 40
         nodes = [int(x) for x in
                  (inst_dir / f"planted_{seed}.nodes").read_text().split()]

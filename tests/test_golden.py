@@ -4,8 +4,11 @@ included, and a changed output byte or density bit shows."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib.util
+import io
+import json
 from pathlib import Path
 from unittest import mock
 
@@ -69,3 +72,35 @@ def test_equal_runs_give_equal_manifests_and_a_flipped_density_bit_shows():
         changed = golden.exact_corpus(10)["graphs"]
     for before, after in zip(graphs, changed):
         assert {k for k in before if before[k] != after[k]} == {"density"}
+
+
+def test_compare_reports_a_flipped_file_byte_under_its_key(tmp_path):
+    golden = _load_golden()
+    g = LabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    commands = [["run", "--input", "g.el", "--algorithm", "ps", "--out", "ps.csv"]]
+    for name in ("a", "b"):
+        directory = tmp_path / name
+        directory.mkdir()
+        save_edgelist(g, Coloring.from_labels("RBRB"), str(directory / "g.el"))
+        manifest = golden.run(commands, str(directory))
+        if name == "b":
+            out = directory / "ps.csv"
+            data = bytearray(out.read_bytes())
+            data[-2] ^= 1
+            out.write_bytes(bytes(data))
+            manifest["files"] = golden.digests(str(directory))
+        manifest["exact"] = golden.exact_corpus(2)
+        (directory / golden.MANIFEST).write_text(json.dumps(manifest), encoding="utf-8")
+
+    def compare(*paths):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = golden.main(["--compare", *map(str, paths)])
+        return code, out.getvalue().splitlines()
+
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert compare(a, a) == (0, [
+        "golden compare: commands 0 of 1, files 0 of 2, exact 0 of 2 differ"])
+    assert compare(a, b) == (1, [
+        "files ps.csv: differs",
+        "golden compare: commands 0 of 1, files 1 of 2, exact 0 of 2 differ"])

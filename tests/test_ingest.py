@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairdsg import ingest
 from fairdsg.cli import main
 from fairdsg.graph import BLUE, RED, Coloring, LabeledGraph
 from fairdsg.ingest import (LINE_BREAK, GmlNode, IngestError, ParseError,
@@ -378,13 +379,23 @@ def test_product_graph_and_pairs_match_the_set_reference(records, min_nodes):
         category_pairs_reference(edges, categories, min_nodes)
 
 
+def _read_text(text: str):
+    """:func:`read_edgelist` of ``text`` written to a temporary file as
+    UTF-8, its line ends kept."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.el")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return read_edgelist(path)
+
+
 def test_edgelist_round_trip_bit_identical():
     g = LabeledGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 0.125), (1, 2, 2.5)])
     c = Coloring.from_labels("RBRB")
     buf = io.StringIO()
     write_edgelist(g, c, buf)
     text = buf.getvalue()
-    g2, c2 = read_edgelist(io.StringIO(text))
+    g2, c2 = _read_text(text)
     assert same_structure(g2, g) and c2 == c
     buf2 = io.StringIO()
     write_edgelist(g2, c2, buf2)
@@ -393,12 +404,12 @@ def test_edgelist_round_trip_bit_identical():
 
 def test_edgelist_reader_skips_comments_and_validates():
     text = "# manifest: {}\n2 1 1\nRB\n0 1 1.0\n"
-    g, c = read_edgelist(io.StringIO(text))
+    g, c = _read_text(text)
     assert g.n == 2 and c.labels() == "RB"
     for bad in ("", "2 1\nRB\n", "2 1 1\nRRB\n", "2 2 0\nRB\n",
                 "2 1 1\nRB\n0 1\n", "2 1 1\nRX\n"):
         with pytest.raises(IngestError):
-            read_edgelist(io.StringIO(bad))
+            _read_text(bad)
 
 
 BODY_ERRORS = [
@@ -424,7 +435,7 @@ BODY_ERRORS = [
 def test_edgelist_body_errors_name_the_first_bad_line(body, message):
     text = "# comment\n3 2 1\nRBR\n" + body
     with pytest.raises(IngestError) as info:
-        read_edgelist(io.StringIO(text))
+        _read_text(text)
     assert str(info.value) == message
 
 
@@ -455,9 +466,9 @@ _EDGE = LabeledGraph.from_arrays(2, [0], [1])
     pytest.param(lambda: category_pair_subgraphs(_EDGE, ["a"], min_nodes=1),
                  ValueError, "categories length must equal the node count",
                  id="pairs of too few categories"),
-    pytest.param(lambda: read_edgelist(io.StringIO("2 x 1\nRB\n")), IngestError,
+    pytest.param(lambda: _read_text("2 x 1\nRB\n"), IngestError,
                  "edge list: non-integer header '2 x 1'", id="edge list header"),
-    pytest.param(lambda: read_edgelist(io.StringIO("# c\n2 1 1\n")), IngestError,
+    pytest.param(lambda: _read_text("# c\n2 1 1\n"), IngestError,
                  "edge list: missing color line", id="edge list without colors"),
 ])
 def test_ingest_errors_name_the_problem(call, error, message):
@@ -469,11 +480,11 @@ def test_ingest_errors_name_the_problem(call, error, message):
 def test_edgelist_id_beyond_int64_is_a_bad_line():
     text = "3 2 1\nRBR\n0 1 1.0\n0 99999999999999999999 1.0\n"
     with pytest.raises(IngestError, match="^edge list line 4: bad edge"):
-        read_edgelist(io.StringIO(text))
+        _read_text(text)
 
 
 def test_edgelist_blank_lines_between_edges():
-    g, _ = read_edgelist(io.StringIO("3 2 1\nRBR\n\n0 1 1.5\n\n \n2 1 0.5\n\n"))
+    g, _ = _read_text("3 2 1\nRBR\n\n0 1 1.5\n\n \n2 1 0.5\n\n")
     assert list(g.edges()) == [(0, 1, 1.5), (1, 2, 0.5)]
 
 
@@ -484,7 +495,7 @@ def test_edgelist_round_trip_non_dyadic_weights():
     buf = io.StringIO()
     write_edgelist(g, c, buf)
     text = buf.getvalue()
-    g2, c2 = read_edgelist(io.StringIO(text))
+    g2, c2 = _read_text(text)
     assert same_structure(g2, g) and c2 == c
     assert g2.edge_w.tobytes() == g.edge_w.tobytes()
     buf2 = io.StringIO()
@@ -497,7 +508,7 @@ def test_edgelist_empty_graph_round_trip():
     c = Coloring([])
     buf = io.StringIO()
     write_edgelist(g, c, buf)
-    g2, c2 = read_edgelist(io.StringIO(buf.getvalue()))
+    g2, c2 = _read_text(buf.getvalue())
     assert g2.n == 0 and c2.n == 0
 
 
@@ -512,7 +523,7 @@ HEADER_12 = "# c\n12 6 6\nRBRBRBRBRBRB\n"
     ("0 1 1.0\n2 3 1e-400\n", [(0, 1, 1.0), (2, 3, 0.0)]),
 ])
 def test_edgelist_reads_literals_only_python_accepts(body, edges):
-    g, _ = read_edgelist(io.StringIO(HEADER_12 + body))
+    g, _ = _read_text(HEADER_12 + body)
     assert list(g.edges()) == edges
 
 
@@ -525,7 +536,7 @@ def test_edgelist_reads_literals_only_python_accepts(body, edges):
 ])
 def test_edgelist_rejects_what_python_rejects(body, message):
     with pytest.raises(IngestError) as info:
-        read_edgelist(io.StringIO(HEADER_12 + body))
+        _read_text(HEADER_12 + body)
     assert str(info.value) == message
 
 
@@ -533,12 +544,102 @@ def test_edgelist_rejects_what_python_rejects(body, message):
 def test_edgelist_empty_bodies_warn_nothing(body):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g, c = read_edgelist(io.StringIO(HEADER_12 + body))
+        g, c = _read_text(HEADER_12 + body)
     assert g.num_edges == 0 and c.n == 12
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        read_edgelist(io.StringIO(HEADER_12 + body))
+        _read_text(HEADER_12 + body)
     assert caught == []
+
+
+def _bad_line(line: int, message: str):
+    return IngestError, f"edge list line {line}: {message}"
+
+
+# file bytes -> the edges read or the (error, message) raised, and whether
+# numpy's reader alone parses the body. Bytes after the color line that are
+# not ASCII, or line breaks numpy does not honour, send the file to the
+# per-line parser; so does a body numpy rejects.
+EDGE_LIST_FILES = [
+    pytest.param(b"2 1 1\nRB\n0 1\x0c1.0\n", _bad_line(3, "expected 'u v w', got '0 1'"),
+                 False, id="form feed splits a line"),
+    pytest.param(b"2 1 1\nRB\n0\x0b1 1.0\n", _bad_line(3, "expected 'u v w', got '0'"),
+                 False, id="vertical tab splits a line"),
+    pytest.param(b"3 2 1\nRBR\n0 1 1.0\x1c1 2 1.0\n", [(0, 1, 1.0), (1, 2, 1.0)],
+                 False, id="file separator between two edges"),
+    pytest.param("2 1 1\nRB\n0\xa01 1.0\n".encode(), [(0, 1, 1.0)], False,
+                 id="no-break space in the body"),
+    pytest.param("# pair: Café__Jouets\n2 1 1\nRB\n0 1 1.0\n".encode(), [(0, 1, 1.0)],
+                 True, id="non-ASCII comment"),
+    pytest.param("# a\u2028# b\n3 2 1\nRBR\n0 1 1.0\n1 2 0.5\n".encode(),
+                 [(0, 1, 1.0), (1, 2, 0.5)], False, id="U+2028 in a comment"),
+    pytest.param("# a\u2028# b\n2 1 1\nRB\n0 1 1.0\n0 1\n".encode(),
+                 _bad_line(6, "expected 'u v w', got '0 1'"), False,
+                 id="U+2028 splits a comment in two"),
+    pytest.param("# a\u2028b\n2 1 1\nRB\n".encode(),
+                 (IngestError, "edge list: header must be 'n n_red n_blue', got 'b'"),
+                 False, id="U+2028 ends a comment"),
+    pytest.param(b"# c\r\n2 1 1\r\nRB\r\n0 1 1.0\r\n", [(0, 1, 1.0)], True, id="CRLF"),
+    pytest.param(b"# c\r2 1 1\rRB\r0 1 1.0\r", [(0, 1, 1.0)], True, id="lone CR"),
+    pytest.param(b"2 1 1\r\nRB\r\n0 1 1.0\r\n\r\n0 x 1.0\r\n",
+                 _bad_line(5, "bad edge '0 x 1.0'"), False, id="CRLF bad line"),
+    pytest.param(b"2 1 1\nRB\n\n \t\n0 1 1.0\n\n", [(0, 1, 1.0)], True,
+                 id="blank and whitespace-only lines"),
+    pytest.param(b"2 1 1\nRB\n", [], False, id="empty body"),
+    pytest.param(b"2 1 1\nRB", [], False, id="no break after the color line"),
+    pytest.param(b"0 0 0\n\n0 0 1.0\n",
+                 (IngestError, "edge list: edge (0, 0) references a node id outside 0..-1"),
+                 True, id="empty color line"),
+    pytest.param("\ufeff2 1 1\nRB\n0 1 1.0\n".encode(),
+                 (IngestError, "edge list: non-integer header '\\ufeff2 1 1'"), False,
+                 id="UTF-8 BOM"),
+    pytest.param(b"2 1 1\nRB\n0 1 1.0\xff\n",
+                 (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in "
+                                      "position 16: invalid start byte"),
+                 False, id="invalid UTF-8 in the body"),
+    pytest.param(b"# \xff\n2 x 1\nRB\n0 1 1.0\n",
+                 (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in "
+                                      "position 2: invalid start byte"),
+                 False, id="invalid UTF-8 before a bad header"),
+    pytest.param(b"2 x 1\nRB\n0 1 1.0\xff\n",
+                 (UnicodeDecodeError, "'utf-8' codec can't decode byte 0xff in "
+                                      "position 16: invalid start byte"),
+                 False, id="invalid UTF-8 after a bad header"),
+    pytest.param(b"2 1 1\nRB\n0 9223372036854775808 1.0\n",
+                 _bad_line(3, "bad edge '0 9223372036854775808 1.0'"), False,
+                 id="id above int64"),
+    pytest.param(b"2 1 1\nRB\n0 1 nan\n",
+                 (IngestError, "edge list: edge (0, 1) has non-finite weight nan"),
+                 True, id="nan weight"),
+    pytest.param(b"2 1 1\nRB\n0 1 inf\n",
+                 (IngestError, "edge list: edge (0, 1) has non-finite weight inf"),
+                 True, id="inf weight"),
+    pytest.param(b"2 1 1\nRB\n0 1 -2.5\n",
+                 (IngestError, "edge list: edge (0, 1) has negative weight -2.5"),
+                 True, id="negative weight"),
+]
+
+
+@pytest.mark.parametrize("data, expected, numpy_reads", EDGE_LIST_FILES)
+def test_edgelist_files_read_as_text_would(tmp_path, monkeypatch, capsys,
+                                           data, expected, numpy_reads):
+    path = tmp_path / "g.el"
+    path.write_bytes(data)
+    if numpy_reads:
+        def per_line(*args):
+            raise AssertionError("the per-line parser ran")
+        monkeypatch.setattr(ingest, "_edge_columns", per_line)
+    if isinstance(expected, list):
+        g, _ = read_edgelist(str(path))
+        assert list(g.edges()) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        read_edgelist(str(path))
+    assert str(info.value) == message
+    assert main(["run", "--input", str(path), "--algorithm", "exact",
+                 "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # Edge-list bodies for the differential test: mostly canonical lines, with
@@ -592,10 +693,10 @@ def test_edgelist_reader_matches_the_per_token_reference(body):
         want = read_edgelist_reference(text)
     except IngestError as exc:
         with pytest.raises(IngestError) as info:
-            read_edgelist(io.StringIO(text))
+            _read_text(text)
         assert str(info.value) == str(exc)
         return
-    g, c = read_edgelist(io.StringIO(text))
+    g, c = _read_text(text)
     assert c == want[1]
     for got, ref in ((g.edge_u, want[0].edge_u), (g.edge_v, want[0].edge_v),
                      (g.edge_w, want[0].edge_w)):
@@ -623,7 +724,7 @@ def test_edgelist_write_read_write_round_trip(case, comments):
     buf = io.StringIO()
     write_edgelist(g, c, buf, comments)
     text = buf.getvalue()
-    g2, c2 = read_edgelist(io.StringIO(text))
+    g2, c2 = _read_text(text)
     assert c2 == c and g2.n == g.n
     for got, ref in ((g2.edge_u, g.edge_u), (g2.edge_v, g.edge_v),
                      (g2.edge_w, g.edge_w)):

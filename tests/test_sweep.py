@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairdsg import sweep
 from fairdsg.flow import exact_densest_subgraph, two_dfsg, two_dfsg_candidates
@@ -52,6 +54,24 @@ def test_ordering_permutations_tie_break_by_id():
     assert list(ordering_permutation(v, Ordering.NON_DECREASING)) == [1, 3, 0, 2]
     assert list(ordering_permutation(v, Ordering.ABS_NON_INCREASING)) == [1, 0, 2, 3]
     assert list(ordering_permutation(v, Ordering.ABS_NON_DECREASING)) == [3, 0, 2, 1]
+
+
+# eigenvectors with ties, +0.0 beside -0.0 and entries equal up to sign
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0]),
+                   st.floats(-4.0, 4.0))
+_VECTOR = st.one_of(st.lists(_ENTRY, min_size=1, max_size=40),
+                    st.tuples(_ENTRY, st.integers(1, 40)).map(lambda xn: [xn[0]] * xn[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VECTOR, st.lists(st.sampled_from(ALL_ORDERINGS), min_size=1, max_size=5))
+def test_scan_orders_nodes_as_ordering_permutation_does(entries, orderings):
+    v = np.array(entries)
+    g = LabeledGraph.from_arrays(v.size, [], [])
+    steps, *_ = sweep._scan(g, Coloring([RED] * v.size), v, orderings, paired=False)
+    for oi, ordering in enumerate(orderings):
+        # node perm[s] joins at step s
+        assert steps[oi][ordering_permutation(v, ordering)].tolist() == list(range(v.size))
 
 
 def test_general_sweep_single_fair_edge():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from fairdsg import cli
 from fairdsg.graph import Coloring, LabeledGraph
-from fairdsg.ingest import load_edgelist, save_edgelist
+from fairdsg.ingest import read_edgelist, save_edgelist
 from fairdsg.planted import PlantedParams, generate
 
 from oracles import same_structure
@@ -98,6 +98,11 @@ def test_the_benchmark_tracer_hooks_what_the_library_has(tmp_path):
                 "dominant_eigenpair.iterations", "parse_amazon_jsonl.records",
                 "category_pair_subgraphs.pairs", "two_dfsg.size"):
         assert counts.get(key, 0) > 0, key
+    # each run command reads its input through the traced reader
+    runs = [sid for sid, _, _, name, _, _, _, c in spans.spans
+            if name == "main" and c["command"] == "run"]
+    read_roots = {root for _, _, root, name, *_ in spans.spans if name == "read_edgelist"}
+    assert len(runs) == 5 and [sid for sid in runs if sid not in read_roots] == []
 
 
 def test_the_benchmark_setup_calls_keep_their_signatures(tmp_path):
@@ -108,5 +113,5 @@ def test_the_benchmark_setup_calls_keep_their_signatures(tmp_path):
                     eig_tol=1e-3)
     path = str(tmp_path / "planted.el")
     save_edgelist(inst.graph, inst.coloring, path)
-    g, c = load_edgelist(path)
+    g, c = read_edgelist(path)
     assert same_structure(g, inst.graph) and c == inst.coloring

@@ -22,7 +22,12 @@ set, density bit and solve count of its parent::
 
     PYTHONPATH=parent/src python tools/golden.py --out before
     PYTHONPATH=src python tools/golden.py --out after
-    diff before/golden.json after/golden.json
+    PYTHONPATH=src python tools/golden.py --compare before after
+
+``--compare A B`` prints each ``commands``, ``files`` and ``exact`` entry
+that the manifests in the two ``--out`` directories hold differently, by
+key, then one count line, and exits 1 when any entry differs and 0
+otherwise.
 
 The commands:
 
@@ -252,12 +257,64 @@ def exact_corpus(count: int = COUNT) -> dict:
     return {"seed": SEED, "graphs": [solve(k) for k in range(count)]}
 
 
+def _entries(manifest: dict) -> dict[str, dict]:
+    """section -> {key: entry} of a manifest: commands keyed by position,
+    files by path and exact graphs by index (a graph's draw depends on the
+    corpus seed, so a changed seed shows in its graphs)."""
+    return {"commands": {str(i): r for i, r in enumerate(manifest["commands"])},
+            "files": manifest["files"],
+            "exact": {str(r["index"]): r for r in manifest["exact"]["graphs"]}}
+
+
+def compare(a: dict, b: dict) -> tuple[list[str], dict[str, tuple[int, int]]]:
+    """The entries manifests ``a`` and ``b`` hold differently, one line each,
+    and per section (differing entries, entries). A line gives the section,
+    the key and a command's argv, then the fields that differ, ``differs``
+    for a file digest, or the one side that holds the entry."""
+    lines, counts = [], {}
+    for (section, left), right in zip(_entries(a).items(), _entries(b).values()):
+        keys = [*left, *(k for k in right if k not in left)]
+        differing = [k for k in keys if left.get(k) != right.get(k)]
+        counts[section] = (len(differing), len(keys))
+        for key in differing:
+            x, y = left.get(key), right.get(key)
+            if x is None or y is None:
+                what = "only in B" if x is None else "only in A"
+            elif isinstance(x, dict):
+                what = ", ".join(sorted(f for f in x.keys() | y.keys()
+                                        if x.get(f) != y.get(f)))
+            else:
+                what = "differs"
+            if section == "commands":
+                key = " ".join([key, *(x or y)["argv"]])
+            lines.append(f"{section} {key}: {what}")
+    return lines, counts
+
+
+def _load(directory: str) -> dict:
+    """The manifest that ``--out directory`` wrote."""
+    with open(os.path.join(directory, MANIFEST), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True,
-                        help="a new or empty directory for the inputs, the "
-                             "outputs and golden.json")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out",
+                      help="a new or empty directory for the inputs, the "
+                           "outputs and golden.json")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="print each entry the manifests in two --out "
+                           "directories hold differently; exit 1 if any")
     args = parser.parse_args(argv)
+    if args.compare:
+        lines, counts = compare(*map(_load, args.compare))
+        for line in lines:
+            print(line)
+        print("golden compare: " + ", ".join(f"{section} {d} of {n}"
+                                             for section, (d, n) in counts.items())
+              + " differ")
+        return 1 if lines else 0
     os.makedirs(args.out, exist_ok=True)
     if os.listdir(args.out):
         parser.error(f"{args.out} is not empty")
